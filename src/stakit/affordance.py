@@ -109,6 +109,8 @@ class CategoricalDistribution:
         self.p = np.asarray(self.p, dtype=np.float64)
         if self.p.shape != (self.size,) or self.size == 0:
             raise ValueError(f"expected {self.size} probabilities, got shape {self.p.shape}")
+        if not np.all(np.isfinite(self.p)):
+            raise ValueError("probabilities must be finite")
         if np.any(self.p < 0):
             raise ValueError("probabilities must be nonnegative")
         total = float(self.p.sum())
@@ -121,6 +123,8 @@ class CategoricalDistribution:
         s = np.asarray(scores, dtype=np.float64)
         if s.ndim != 1 or s.size == 0:
             raise ValueError(f"scores must be a nonempty vector, got shape {s.shape}")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("scores must be finite")
         if np.any(s < 0):
             raise ValueError("scores must be nonnegative")
         total = float(s.sum())

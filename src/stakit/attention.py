@@ -194,6 +194,15 @@ class TokenBundle:
 # shared attention core (no residual; callers add their own residual stream)
 
 
+def _attend_head(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights, h: int, scale: float):
+    q = linalg.matmul(q_src, w.w_q[h])
+    k = linalg.matmul(kv_src, w.w_k[h])
+    v = linalg.matmul(kv_src, w.w_v[h])
+    scores = linalg.matmul(q, k.T) * scale
+    probs = linalg.softmax_rows(scores)
+    return linalg.matmul(probs, v), (q, k, v, probs)
+
+
 def _attend_forward(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights):
     if q_src.shape[1] != w.d_model or kv_src.shape[1] != w.d_model:
         raise ValueError(
@@ -204,13 +213,9 @@ def _attend_forward(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights):
     heads = []
     outs = []
     for h in range(w.heads):
-        q = linalg.matmul(q_src, w.w_q[h])
-        k = linalg.matmul(kv_src, w.w_k[h])
-        v = linalg.matmul(kv_src, w.w_v[h])
-        scores = linalg.matmul(q, k.T) * scale
-        probs = linalg.softmax_rows(scores)
-        outs.append(linalg.matmul(probs, v))
-        heads.append((q, k, v, probs))
+        out_h, head = _attend_head(q_src, kv_src, w, h, scale)
+        outs.append(out_h)
+        heads.append(head)
     concat = np.concatenate(outs, axis=1)
     out = linalg.matmul(concat, w.w_o)
     cache = {"q_src": q_src, "kv_src": kv_src, "heads": heads, "concat": concat, "scale": scale}
@@ -575,6 +580,29 @@ def _loss_from(outputs: list[np.ndarray]) -> float:
     return 0.5 * float(sum(np.sum(y * y) for y in outputs))
 
 
+def _attend_after_change(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights,
+                         base: dict, name: str) -> np.ndarray:
+    """Attention output after the tensor ``name`` changed since the pass
+    that produced ``base``, the cache of ``_attend_forward``.
+
+    w_o only enters the output projection, and a head's projections only
+    that head's slice of the concatenated outputs, so the rest is reused;
+    the arithmetic matches a full pass bit for bit.  Any other name (an
+    input) reruns the full pass.
+    """
+    if name == "w_o":
+        return linalg.matmul(base["concat"], w.w_o)
+    kind, _, head = name.rpartition(".h")
+    if kind in ("w_q", "w_k", "w_v"):
+        h = int(head)
+        out_h, _ = _attend_head(q_src, kv_src, w, h, base["scale"])
+        concat = base["concat"].copy()
+        concat[:, h * w.d_head:(h + 1) * w.d_head] = out_h
+        return linalg.matmul(concat, w.w_o)
+    out, _ = _attend_forward(q_src, kv_src, w)
+    return out
+
+
 def _mha_like_case(q_name: str, kv_name: str):
     def build(inputs, weights):
         q, kv = inputs
@@ -583,8 +611,10 @@ def _mha_like_case(q_name: str, kv_name: str):
                   **_named_bundle_arrays(f"{kv_name}.", kv),
                   **_named_attention_arrays("", w)}
 
-        def loss() -> float:
-            out, _ = _attend_forward(q.tokens, kv.tokens, w)
+        _, base = _attend_forward(q.tokens, kv.tokens, w)
+
+        def loss(name: str) -> float:
+            out = _attend_after_change(q.tokens, kv.tokens, w, base, name)
             return _loss_from([q.tokens + out])
 
         def loss_and_grads():
@@ -611,7 +641,33 @@ def _dual_case(inputs, weights):
               **_named_mlp_arrays("mlp.image.", mlp.image),
               **_named_mlp_arrays("mlp.video.", mlp.video)}
 
-    def loss() -> float:
+    # Stages of the unperturbed pass.  A weight tensor only feeds its own
+    # branch, so perturbing it recomputes that branch from here on and
+    # keeps the other branch's output; the arithmetic is the same as a
+    # full pass, so the loss comes out bit for bit the same.
+    x_i = _stack_with_class(image, "image")
+    x_v = _stack_with_class(video, "video")
+    y_i0, y_v0, base = _dual_forward(image, video, w_image, w_video, mlp, True, LN_EPS)
+    n_i, n_v = base["att_i"]["q_src"], base["att_v"]["q_src"]
+    h_i, h_v = base["mlp_i"]["x"], base["mlp_v"]["x"]
+
+    def loss(name: str) -> float:
+        if name.startswith("mlp.image."):
+            y_i, _ = _mlp_forward(h_i, mlp.image)
+            return _loss_from([y_i, y_v0])
+        if name.startswith("mlp.video."):
+            y_v, _ = _mlp_forward(h_v, mlp.video)
+            return _loss_from([y_i0, y_v])
+        if name.startswith("image_branch."):
+            att_i = _attend_after_change(n_i, n_v, w_image, base["att_i"],
+                                         name[len("image_branch."):])
+            y_i, _ = _mlp_forward(x_i + att_i, mlp.image)
+            return _loss_from([y_i, y_v0])
+        if name.startswith("video_branch."):
+            att_v = _attend_after_change(n_v, n_i, w_video, base["att_v"],
+                                         name[len("video_branch."):])
+            y_v, _ = _mlp_forward(x_v + att_v, mlp.video)
+            return _loss_from([y_i0, y_v])
         y_i, y_v, _ = _dual_forward(image, video, w_image, w_video, mlp, True, LN_EPS)
         return _loss_from([y_i, y_v])
 
@@ -675,9 +731,9 @@ def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckR
         for i in range(arr.size):
             orig = arr.flat[i]
             arr.flat[i] = orig + epsilon
-            lp = loss_fn()
+            lp = loss_fn(name)
             arr.flat[i] = orig - epsilon
-            lm = loss_fn()
+            lm = loss_fn(name)
             arr.flat[i] = orig
             numeric[i] = (lp - lm) / (2.0 * epsilon)
         analytic = np.asarray(grads[name], dtype=np.float64).reshape(-1)

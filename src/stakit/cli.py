@@ -24,6 +24,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,24 +40,8 @@ from .hotspot import reweight, upsample_map
 
 log = logging.getLogger("stakit")
 
-DEFAULTS = {
-    "theta": DEFAULT_THETA,
-    "recent": DEFAULT_RECENT,
-    "k": DEFAULT_K,
-    "weighted": DEFAULT_WEIGHTED,
-    "iou": 0.5,
-    "ttc_tol": 0.25,
-    "topk": 5,
-    "fps": 30.0,
-    "gap": DEFAULT_GAP,
-    "split": "train",
-    "eps": 1e-5,
-    "seed": 0,
-    "d_model": 8,
-    "heads": 2,
-    "order": "fuse-first",
-    "jobs": 1,
-}
+_KINDS = ("nouns", "verbs")
+_CHOICES = {"kind": _KINDS, "op": GRAD_CHECK_OPS, "order": demo.ORDERS}
 
 
 @dataclass
@@ -68,7 +53,6 @@ class RunConfig:
     """
 
     command: str
-    jobs: int = 1
     # file arguments
     clips: str | None = None
     zones: str | None = None
@@ -117,8 +101,6 @@ def _str2bool(value: str) -> bool:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stakit", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON file with default parameter values")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for per-image evaluation (default 1)")
     groups = parser.add_subparsers(dest="group", required=True)
 
     zones = groups.add_parser("zones", help="zone database construction")
@@ -141,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     af = afford_sub.add_parser("fuse", help="multiply a prior into a predicted distribution")
     af.add_argument("--aff", required=True)
     af.add_argument("--sta", required=True)
-    af.add_argument("--kind", choices=("nouns", "verbs"),
+    af.add_argument("--kind", choices=_KINDS,
                     help="pick one distribution out of a query-output file")
     af.add_argument("--out")
 
@@ -151,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     hr.add_argument("--dets", required=True)
     hr.add_argument("--maps", required=True)
     hr.add_argument("--out", required=True)
-    hr.add_argument("--bilinear", action="store_true")
+    hr.add_argument("--bilinear", action="store_true", default=None)
     hr.add_argument("--upsample-h", dest="upsample_h", type=int, default=None)
     hr.add_argument("--upsample-w", dest="upsample_w", type=int, default=None)
 
@@ -189,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     ds = demo_sub.add_parser("synth", help="seeded synthetic pipeline")
     ds.add_argument("--seed", type=int, default=None)
     ds.add_argument("--out", required=True)
-    ds.add_argument("--order", choices=("fuse-first", "reweight-first"), default=None)
+    ds.add_argument("--order", choices=demo.ORDERS, default=None)
     ds.add_argument("--k", type=int, default=None)
     ds.add_argument("--weighted", type=_str2bool, default=None)
     ds.add_argument("--theta", type=float, default=None)
@@ -198,23 +180,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config_file(path: str) -> dict:
+    """Config-file values, held to the type and choices of the flag each replaces."""
+    hints = typing.get_type_hints(RunConfig)
+    values = {}
+    for name, value in formats.read_json(path).items():
+        if name == "command" or name not in hints:
+            raise formats.InputError("unknown config key", path=path, field=name)
+        want = next(t for t in typing.get_args(hints[name]) or (hints[name],)
+                    if t is not type(None))
+        if want is float and type(value) is int:
+            value = float(value)
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+            raise formats.InputError(f"expected {want.__name__}, got {json.dumps(value)}",
+                                     path=path, field=name)
+        if name in _CHOICES and value not in _CHOICES[name]:
+            raise formats.InputError(f"expected one of {list(_CHOICES[name])}, got {value!r}",
+                                     path=path, field=name)
+        values[name] = value
+    return values
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = formats.read_json(args.config)
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    """Each field comes from its flag, else the config file, else RunConfig's default."""
+    file_values = _read_config_file(args.config) if args.config else {}
     values = {"command": f"{args.group} {args.command}"}
-    for name in fields - {"command", "bilinear"}:
-        from_args = getattr(args, name, None)
+    for field in dataclasses.fields(RunConfig):
+        if field.name == "command":
+            continue
+        from_args = getattr(args, field.name, None)
         if from_args is not None:
-            values[name] = from_args
-        elif name in file_values:
-            values[name] = file_values[name]
-        elif name in DEFAULTS:
-            values[name] = DEFAULTS[name]
-    # a store_true flag parses to False rather than None, so the config
-    # file can only turn it on, never off
-    values["bilinear"] = bool(getattr(args, "bilinear", False) or file_values.get("bilinear", False))
+            values[field.name] = from_args
+        elif field.name in file_values:
+            values[field.name] = file_values[field.name]
     return RunConfig(**values)
 
 
@@ -295,7 +293,7 @@ def _cmd_eval_sta(cfg: RunConfig) -> int:
     dets = formats.read_detections(cfg.dets)
     gts = formats.read_ground_truth(cfg.gt)
     report = evaluate(dets, gts, standard_criteria(cfg.iou, cfg.ttc_tol),
-                      top_k=cfg.topk, jobs=cfg.jobs)
+                      top_k=cfg.topk)
     if cfg.report:
         formats.write_eval_report(cfg.report, report)
     _emit(report.to_json())
@@ -321,8 +319,7 @@ def _cmd_attn_check_grad(cfg: RunConfig) -> int:
 
 def _cmd_demo_synth(cfg: RunConfig) -> int:
     report = demo.run_synth_demo(cfg.seed, cfg.out, k=cfg.k, weighted=cfg.weighted,
-                                 theta=cfg.theta, top_k=cfg.topk, order=cfg.order,
-                                 jobs=cfg.jobs)
+                                 theta=cfg.theta, top_k=cfg.topk, order=cfg.order)
     _emit(report.to_json())
     return 0
 

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .affordance import (DEFAULT_K, DEFAULT_RECENT, DEFAULT_THETA, affordance_distribution,
-                         apply_affordance_to_detections, build_zones, descriptor_similarity_01,
-                         knn_query, ClipRecord)
+from .affordance import (DEFAULT_K, DEFAULT_RECENT, DEFAULT_THETA, DEFAULT_WEIGHTED,
+                         affordance_distribution, apply_affordance_to_detections, build_zones,
+                         descriptor_similarity_01, knn_query, ClipRecord)
 from .evaluation import GroundTruth, evaluate, standard_criteria
 from .hotspot import Detection, reweight, synth_gaussian_map
 
@@ -22,6 +22,10 @@ NOUNS = ["knife", "plate", "cup", "pan", "sponge", "kettle"]
 VERBS = ["take", "cut", "wash", "pour"]
 FRAME = 64  # synthetic image side, pixels
 DESCRIPTOR_DIM = 8
+N_VIDEOS = 3
+CLIPS_PER_VIDEO = 6
+N_IMAGES = 6
+ORDERS = ("fuse-first", "reweight-first")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -97,30 +101,27 @@ def _synth_image(rng: np.random.Generator, uid: str):
     return gts, dets, hmap
 
 
-def run_synth_demo(seed: int, out_dir, *, k: int = DEFAULT_K, weighted: bool = True,
-                   theta: float = DEFAULT_THETA, recent: int = DEFAULT_RECENT,
-                   top_k: int = 5, iou_threshold: float = 0.5, ttc_tolerance: float = 0.25,
-                   order: str = "fuse-first", n_videos: int = 3, clips_per_video: int = 6,
-                   n_images: int = 6, jobs: int = 1):
+def run_synth_demo(seed: int, out_dir, *, k: int = DEFAULT_K, weighted: bool = DEFAULT_WEIGHTED,
+                   theta: float = DEFAULT_THETA, top_k: int = 5, order: str = "fuse-first"):
     """Generate a synthetic scenario, run the full pipeline, return the report.
 
     order controls whether affordance fusion runs before hotspot
     re-weighting ("fuse-first", the default) or after ("reweight-first").
     """
-    if order not in ("fuse-first", "reweight-first"):
+    if order not in ORDERS:
         raise ValueError(f"order must be 'fuse-first' or 'reweight-first', got {order!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    clips = _synth_clips(rng, n_videos, clips_per_video)
-    zones = build_zones(clips, descriptor_similarity_01, theta, recent)
+    clips = _synth_clips(rng, N_VIDEOS, CLIPS_PER_VIDEO)
+    zones = build_zones(clips, descriptor_similarity_01, theta, DEFAULT_RECENT)
 
     all_gts: list[GroundTruth] = []
     raw_dets: list[Detection] = []
     maps = {}
     queries = {}
-    for i in range(n_images):
+    for i in range(N_IMAGES):
         uid = f"img{i:03d}"
         gts, dets, hmap = _synth_image(rng, uid)
         all_gts.extend(gts)
@@ -146,11 +147,10 @@ def run_synth_demo(seed: int, out_dir, *, k: int = DEFAULT_K, weighted: bool = T
     else:
         final = fuse_stage(reweight(raw_dets, maps))
 
-    report = evaluate(final, all_gts, standard_criteria(iou_threshold, ttc_tolerance),
-                      top_k=top_k, jobs=jobs)
+    report = evaluate(final, all_gts, standard_criteria(), top_k=top_k)
 
     formats.write_clips(out / "clips.jsonl", clips)
-    formats.write_zone_db(out / "zones.json", zones, NOUNS, VERBS, theta, recent)
+    formats.write_zone_db(out / "zones.json", zones, NOUNS, VERBS, theta, DEFAULT_RECENT)
     formats.write_ground_truth(out / "gt.jsonl", all_gts)
     formats.write_detections(out / "detections.jsonl", raw_dets)
     formats.write_detections(out / "refined.jsonl", final)

@@ -15,7 +15,6 @@ mAP averages over the noun classes present in the ground truth.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -202,7 +201,7 @@ def _image_assignments(retained: list, gts_img: list, thresholds: tuple) -> dict
 
 
 def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int = 5,
-             image_uids=None, jobs: int = 1) -> EvalReport:
+             image_uids=None) -> EvalReport:
     """Score detections against ground truth under every criterion.
 
     Images are identified by uid; the ground-truth uids define the image
@@ -240,13 +239,8 @@ def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int 
     kept = sum(len(v) for v in retained_by_uid.values())
 
     thresholds = tuple(sorted({c.iou_threshold for c in criteria}))
-    uids = sorted(retained_by_uid)
-    work = [(retained_by_uid[uid], gts_by_uid.get(uid, [])) for uid in uids]
-    if jobs > 1 and work:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_image = list(pool.map(lambda args: _image_assignments(*args, thresholds), work))
-    else:
-        per_image = [_image_assignments(retained, gts_img, thresholds) for retained, gts_img in work]
+    per_image = [_image_assignments(retained_by_uid[uid], gts_by_uid.get(uid, []), thresholds)
+                 for uid in sorted(retained_by_uid)]
 
     npos: dict = {}
     for gt in gts:

@@ -82,6 +82,19 @@ def _require(record: dict, field: str, path=None, line=None):
     return record[field]
 
 
+def _convert(record: dict, field: str, convert, path=None, line=None):
+    """convert(record[field]); a value that convert rejects is reported at the field."""
+    value = _require(record, field, path, line)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(str(exc), path=path, line=line, field=field) from exc
+
+
+def _vector(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
 def _float_list(values) -> list[float]:
     return [float(v) for v in np.asarray(values, dtype=np.float64).ravel()]
 
@@ -226,15 +239,15 @@ def _box_from(obj, path, line) -> tuple:
 def read_clips(path) -> list[ClipRecord]:
     clips = []
     for line_no, obj in _read_jsonl(path):
-        text = obj.get("text")
         clips.append(ClipRecord(
             clip_id=str(_require(obj, "clip", str(path), line_no)),
-            visual=np.asarray(_require(obj, "visual", str(path), line_no), dtype=np.float64),
-            text=None if text is None else np.asarray(text, dtype=np.float64),
-            nouns=frozenset(_require(obj, "nouns", str(path), line_no)),
-            verbs=frozenset(_require(obj, "verbs", str(path), line_no)),
+            visual=_convert(obj, "visual", _vector, str(path), line_no),
+            text=None if obj.get("text") is None
+            else _convert(obj, "text", _vector, str(path), line_no),
+            nouns=_convert(obj, "nouns", frozenset, str(path), line_no),
+            verbs=_convert(obj, "verbs", frozenset, str(path), line_no),
             video_id=str(_require(obj, "video", str(path), line_no)),
-            frame_index=int(obj.get("frame", 0)),
+            frame_index=_convert(obj, "frame", int, str(path), line_no) if "frame" in obj else 0,
         ))
     return clips
 
@@ -280,14 +293,14 @@ def read_zone_db(path) -> tuple[list[Zone], list, list, dict]:
     zones = []
     for i, z in enumerate(obj.get("zones", [])):
         try:
-            text = z.get("text")
             zones.append(Zone(
                 zone_id=str(_require(z, "id", str(path))),
-                clip_ids=[str(c) for c in z.get("clips", [])],
-                nouns=set(_require(z, "nouns", str(path))),
-                verbs=set(_require(z, "verbs", str(path))),
-                visual=np.asarray(_require(z, "visual", str(path)), dtype=np.float64),
-                text=None if text is None else np.asarray(text, dtype=np.float64),
+                clip_ids=[str(c) for c in _convert(z, "clips", list, str(path))]
+                if "clips" in z else [],
+                nouns=_convert(z, "nouns", set, str(path)),
+                verbs=_convert(z, "verbs", set, str(path)),
+                visual=_convert(z, "visual", _vector, str(path)),
+                text=None if z.get("text") is None else _convert(z, "text", _vector, str(path)),
             ))
         except InputError as exc:
             exc.field = f"zones[{i}].{exc.field}"
@@ -324,8 +337,8 @@ def read_detections(path) -> list[Detection]:
                 box=_box_from(obj, str(path), line_no),
                 noun=_require(obj, "noun", str(path), line_no),
                 verb=_require(obj, "verb", str(path), line_no),
-                ttc=float(_require(obj, "ttc", str(path), line_no)),
-                score=float(_require(obj, "score", str(path), line_no)),
+                ttc=_convert(obj, "ttc", float, str(path), line_no),
+                score=_convert(obj, "score", float, str(path), line_no),
                 noun_probs=None if obj.get("noun_probs") is None
                 else np.asarray(obj["noun_probs"], dtype=np.float64),
                 verb_probs=None if obj.get("verb_probs") is None
@@ -351,7 +364,7 @@ def read_ground_truth(path) -> list[GroundTruth]:
                 box=_box_from(obj, str(path), line_no),
                 noun=_require(obj, "noun", str(path), line_no),
                 verb=_require(obj, "verb", str(path), line_no),
-                ttc=float(_require(obj, "ttc", str(path), line_no)),
+                ttc=_convert(obj, "ttc", float, str(path), line_no),
             ))
         except ValueError as exc:
             if isinstance(exc, InputError):
@@ -378,14 +391,14 @@ def read_hotspot_maps(path) -> dict[str, HotspotMap]:
         if uid in maps:
             raise InputError(f"duplicate hotspot map for image {uid!r}",
                              path=str(path), line=line_no, field="uid")
-        h = int(_require(obj, "h", str(path), line_no))
-        w = int(_require(obj, "w", str(path), line_no))
-        p = _require(obj, "p", str(path), line_no)
-        if len(p) != h * w:
-            raise InputError(f"expected {h * w} probabilities, got {len(p)}",
+        h = _convert(obj, "h", int, str(path), line_no)
+        w = _convert(obj, "w", int, str(path), line_no)
+        p = _convert(obj, "p", _vector, str(path), line_no)
+        if p.shape != (h * w,):
+            raise InputError(f"expected {h * w} probabilities, got shape {p.shape}",
                              path=str(path), line=line_no, field="p")
         try:
-            maps[uid] = HotspotMap(uid=uid, p=np.asarray(p, dtype=np.float64).reshape(h, w))
+            maps[uid] = HotspotMap(uid=uid, p=p.reshape(h, w))
         except ValueError as exc:
             raise InputError(str(exc), path=str(path), line=line_no, field="p") from exc
     return maps

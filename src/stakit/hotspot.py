@@ -37,6 +37,8 @@ class HotspotMap:
         self.p = np.asarray(self.p, dtype=np.float64)
         if self.p.ndim != 2 or self.p.size == 0:
             raise ValueError(f"hotspot grid must be a nonempty 2-D array, got shape {self.p.shape}")
+        if not np.all(np.isfinite(self.p)):
+            raise ValueError("hotspot probabilities must be finite")
         if np.any(self.p < 0):
             raise ValueError("hotspot probabilities must be nonnegative")
         total = float(self.p.sum())

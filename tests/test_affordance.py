@@ -388,6 +388,14 @@ def test_categorical_distribution_validation():
         CategoricalDistribution.from_scores(np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_categorical_distribution_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        CategoricalDistribution(2, [bad, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        CategoricalDistribution.from_scores([bad, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # applying priors to detections
 
@@ -397,6 +405,13 @@ def make_det(noun, verb, noun_probs, verb_probs, score=0.9):
                      ttc=1.0, score=score,
                      noun_probs=None if noun_probs is None else np.asarray(noun_probs),
                      verb_probs=None if verb_probs is None else np.asarray(verb_probs))
+
+
+def test_apply_affordance_rejects_nan_probabilities():
+    det = make_det(0, 0, [np.nan, 0.5, 0.5], [0.6, 0.4])
+    with pytest.raises(ValueError, match="finite"):
+        aff.apply_affordance_to_detections(
+            [det], CategoricalDistribution.uniform(3), CategoricalDistribution.uniform(2))
 
 
 def test_apply_affordance_uniform_priors_leave_detections_alone():

@@ -452,6 +452,21 @@ def test_grad_check_all_ops_single_seed(op):
     assert report.worst  # names the worst tensor
 
 
+@pytest.mark.parametrize("op", att.GRAD_CHECK_OPS)
+def test_grad_check_partial_loss_equals_full_pass(op):
+    # the loss recomputes only the stages a perturbed tensor feeds; an
+    # unmatched name falls back to the full forward pass
+    inputs, weights = att.random_instance(op, 5, d_model=6, heads=2,
+                                          n_tokens=2, mlp_hidden=8)
+    params, loss, _ = att._CASE_BUILDERS[op](inputs, weights)
+    for name, arr in params.items():
+        for i in (0, arr.size - 1):
+            orig = arr.flat[i]
+            arr.flat[i] = orig + 1e-3
+            assert loss(name) == loss(""), (name, i)
+            arr.flat[i] = orig
+
+
 def test_random_instance_is_reproducible():
     (q1, kv1), w1 = att.random_instance("mha", 7)
     (q2, kv2), w2 = att.random_instance("mha", 7)

@@ -358,6 +358,60 @@ def test_defaults_apply_without_config(tmp_path, capsys):
     assert params == {"theta": 0.5, "M": 5}
 
 
+@pytest.mark.parametrize("content, field", [
+    ({"weighted": "false"}, "weighted"),
+    ({"k": "4"}, "k"),
+    ({"k": True}, "k"),
+    ({"theta": None}, "theta"),
+    ({"thetaa": 0.9}, "thetaa"),
+    ({"order": "sideways"}, "order"),
+])
+def test_bad_config_value_exits_two_naming_file_and_field(tmp_path, capsys, content, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(content))
+    code, out, err = run_cli(["--config", str(config), "afford", "query",
+                              "--zones", str(tmp_path / "zones.json"),
+                              "--desc", str(tmp_path / "query.json")], capsys)
+    assert code == 2
+    record = json.loads(err)["error"]
+    assert record["type"] == "InputError"
+    assert record["file"] == str(config)
+    assert record["field"] == field
+
+
+def test_config_float_field_takes_a_json_integer(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"theta": 1, "recent": 3}))
+    args = cli.build_parser().parse_args(["--config", str(config), "zones", "build",
+                                          "--clips", "c.jsonl", "--out", "z.json"])
+    cfg = cli.resolve_config(args)
+    assert (cfg.theta, type(cfg.theta), cfg.recent) == (1.0, float, 3)
+
+
+def test_bilinear_comes_from_flag_then_config_then_default(tmp_path):
+    argv = ["hotspot", "reweight", "--dets", "d.jsonl", "--maps", "m.jsonl", "--out", "o.jsonl"]
+    on = tmp_path / "on.json"
+    on.write_text(json.dumps({"bilinear": True}))
+    off = tmp_path / "off.json"
+    off.write_text(json.dumps({"bilinear": False}))
+
+    def resolved(prefix, extra=()):
+        args = cli.build_parser().parse_args([*prefix, *argv, *extra])
+        return cli.resolve_config(args).bilinear
+
+    assert resolved([]) is False
+    assert resolved([], ["--bilinear"]) is True
+    assert resolved(["--config", str(on)]) is True
+    assert resolved(["--config", str(off)]) is False
+    assert resolved(["--config", str(off)], ["--bilinear"]) is True
+
+
+def test_removed_jobs_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--jobs", "2", "demo", "synth", "--out", "unused"])
+    capsys.readouterr()
+
+
 def test_missing_input_file_exits_one(tmp_path, capsys):
     code, out, err = run_cli(["zones", "build", "--clips", str(tmp_path / "absent.jsonl"),
                               "--out", str(tmp_path / "z.json")], capsys)

@@ -283,15 +283,6 @@ def test_score_scaling_leaves_report_unchanged():
     assert ev.evaluate(dets, gts).maps == ev.evaluate(scaled, gts).maps
 
 
-def test_parallel_evaluation_is_identical():
-    rng = np.random.default_rng(84)
-    dets, gts = random_instance(rng, n_images=6)
-    serial = ev.evaluate(dets, gts, jobs=1)
-    parallel = ev.evaluate(dets, gts, jobs=4)
-    assert serial.maps == parallel.maps
-    assert serial.per_class == parallel.per_class
-
-
 def test_report_json_stringifies_class_keys():
     gts = [gt("img0", (0, 0, 10, 10), 3, "take", 1.0)]
     dets = [det("img0", (0, 0, 10, 10), 3, "take", 1.0, 0.9)]

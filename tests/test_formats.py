@@ -130,6 +130,18 @@ def test_read_clips_missing_field_names_it(tmp_path):
     assert info.value.line == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("frame", "x"), ("visual", ["a"]), ("text", "words"), ("nouns", 5),
+])
+def test_read_clips_names_unreadable_field(tmp_path, field, value):
+    path = tmp_path / "clips.jsonl"
+    row = {"clip": "c0", "video": "v", "frame": 0, "visual": [1.0], "nouns": [], "verbs": []}
+    path.write_text(json.dumps({**row, field: value}) + "\n")
+    with pytest.raises(fm.InputError) as info:
+        fm.read_clips(path)
+    assert (info.value.path, info.value.line, info.value.field) == (str(path), 1, field)
+
+
 def test_zone_db_round_trip_byte_identical(tmp_path):
     clips = sample_clips()
     zones = build_zones(clips, descriptor_similarity_01, theta=0.5, recent=5)
@@ -149,6 +161,15 @@ def test_zone_db_reports_broken_zone(tmp_path):
     with pytest.raises(fm.InputError) as info:
         fm.read_zone_db(path)
     assert info.value.field == "zones[0].verbs"
+
+
+def test_zone_db_names_unreadable_field(tmp_path):
+    path = tmp_path / "zones.json"
+    zone = {"id": "z0", "clips": 3, "nouns": [], "verbs": [], "visual": [1.0]}
+    path.write_text(json.dumps({"zones": [zone]}))
+    with pytest.raises(fm.InputError) as info:
+        fm.read_zone_db(path)
+    assert (info.value.path, info.value.field) == (str(path), "zones[0].clips")
 
 
 def sample_detections():
@@ -188,6 +209,19 @@ def test_read_detections_box_shape_error(tmp_path):
     with pytest.raises(fm.InputError) as info:
         fm.read_detections(path)
     assert info.value.field == "box"
+
+
+@pytest.mark.parametrize("read, field, value", [
+    (fm.read_detections, "ttc", None), (fm.read_detections, "score", "high"),
+    (fm.read_ground_truth, "ttc", [1.0]),
+])
+def test_detection_readers_name_unreadable_field(tmp_path, read, field, value):
+    path = tmp_path / "dets.jsonl"
+    row = {"uid": "u", "box": [0.0, 0.0, 1.0, 1.0], "noun": 0, "verb": 0, "ttc": 1.0, "score": 0.5}
+    path.write_text(json.dumps({**row, field: value}) + "\n")
+    with pytest.raises(fm.InputError) as info:
+        read(path)
+    assert (info.value.path, info.value.line, info.value.field) == (str(path), 1, field)
 
 
 def test_ground_truth_round_trip_and_extra_fields(tmp_path):
@@ -234,6 +268,16 @@ def test_hotspot_maps_length_mismatch_error(tmp_path):
     with pytest.raises(fm.InputError, match="expected 4") as info:
         fm.read_hotspot_maps(path)
     assert info.value.field == "p"
+
+
+@pytest.mark.parametrize("field, value", [("h", "two"), ("w", None), ("p", ["x", 0.5])])
+def test_hotspot_maps_name_unreadable_field(tmp_path, field, value):
+    path = tmp_path / "maps.jsonl"
+    row = {"uid": "u", "h": 1, "w": 2, "p": [0.5, 0.5]}
+    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, "uid": "v", field: value}) + "\n")
+    with pytest.raises(fm.InputError) as info:
+        fm.read_hotspot_maps(path)
+    assert (info.value.path, info.value.line, info.value.field) == (str(path), 2, field)
 
 
 def test_sta_record_uid_format():

@@ -31,6 +31,12 @@ def test_hotspot_map_validation():
         HotspotMap.uniform("u", 0, 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hotspot_map_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        HotspotMap("a", [[bad, 0.5]])
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
