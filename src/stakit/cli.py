@@ -27,8 +27,6 @@ import sys
 import typing
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import demo, formats
 from .affordance import (DEFAULT_K, DEFAULT_RECENT, DEFAULT_THETA, DEFAULT_WEIGHTED,
                          affordance_distribution, build_zones, descriptor_similarity_01,
@@ -232,10 +230,7 @@ def _cmd_zones_build(cfg: RunConfig) -> int:
 
 def _cmd_afford_query(cfg: RunConfig) -> int:
     zones, noun_vocab, verb_vocab, _ = formats.read_zone_db(cfg.zones)
-    desc = formats.read_json(cfg.desc)
-    if "visual" not in desc:
-        raise formats.InputError("missing required field", path=cfg.desc, field="visual")
-    query = np.asarray(desc["visual"], dtype=np.float64)
+    query = formats.read_descriptor(cfg.desc, len(zones[0].visual) if zones else None)
     knn = knn_query(query, zones, cfg.k)
     result = {
         "k": cfg.k,
@@ -260,9 +255,8 @@ def _load_distribution(path: str, kind: str | None):
             raise formats.InputError(
                 "file holds noun and verb distributions; pass --kind to pick one",
                 path=path, field="kind")
-        obj = obj[kind]
-    dist = formats.distribution_from_json(obj, path=path)
-    return dist, obj.get("vocab")
+        obj = obj.get(kind)
+    return formats.distribution_from_json(obj, path=path), obj.get("vocab")
 
 
 def _cmd_afford_fuse(cfg: RunConfig) -> int:

@@ -13,6 +13,7 @@ frame with the segment's verb and the time to contact
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -99,8 +100,8 @@ class STARecord:
     split: str = "train"
 
     def __post_init__(self) -> None:
-        if self.ttc <= 0:
-            raise ValueError(f"time to contact must be positive, got {self.ttc}")
+        if not 0 < self.ttc < math.inf:
+            raise ValueError(f"time to contact must be finite and positive, got {self.ttc}")
 
 
 def build_tracks(boxes: list[BoxAnnotation], gap: int = DEFAULT_GAP) -> list[ObjectTrack]:

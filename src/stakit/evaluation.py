@@ -15,6 +15,7 @@ mAP averages over the noun classes present in the ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -44,8 +45,8 @@ class GroundTruth:
         x1, y1, x2, y2 = self.box
         if not (x1 < x2 and y1 < y2):
             raise ValueError(f"box must satisfy x1 < x2 and y1 < y2, got {self.box}")
-        if self.ttc <= 0:
-            raise ValueError(f"time to contact must be positive, got {self.ttc}")
+        if not 0 < self.ttc < math.inf:
+            raise ValueError(f"time to contact must be finite and positive, got {self.ttc}")
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,17 @@
 
 Writers emit keys in a fixed order and floats through json's shortest
 round-trip repr, so writing, reading and writing again reproduces the
-file byte for byte.  Readers raise InputError carrying the file, line
-and field behind a failure so the CLI can report it mechanically.
+file byte for byte.  Readers pass each field through one converter that
+names the field when it fails, and the record loops add file and line.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,7 @@ __all__ = [
     "write_clips",
     "write_zone_db",
     "read_zone_db",
+    "read_descriptor",
     "read_detections",
     "write_detections",
     "read_ground_truth",
@@ -59,40 +63,101 @@ class InputError(ValueError):
     def __init__(self, message: str, *, path: str | None = None,
                  line: int | None = None, field: str | None = None):
         super().__init__(message)
-        self.path = path
-        self.line = line
-        self.field = field
+        self.path, self.line, self.field = path, line, field
 
     def __str__(self) -> str:
-        where = []
-        if self.path is not None:
-            where.append(str(self.path))
-        if self.line is not None:
-            where.append(f"line {self.line}")
-        if self.field is not None:
-            where.append(f"field {self.field!r}")
-        prefix = ": ".join([", ".join(where)]) if where else ""
-        base = super().__str__()
-        return f"{prefix}: {base}" if prefix else base
+        where = [str(self.path)] if self.path is not None else []
+        where += [f"line {self.line}"] if self.line is not None else []
+        where += [f"field {self.field!r}"] if self.field is not None else []
+        return f"{', '.join(where)}: {self.args[0]}" if where else self.args[0]
 
 
-def _require(record: dict, field: str, path=None, line=None):
-    if field not in record:
-        raise InputError(f"missing required field", path=path, line=line, field=field)
-    return record[field]
+_BAD_VALUE = (TypeError, ValueError, OverflowError, RecursionError)  # what bad input makes parsing raise
+_REQUIRED = object()
 
 
-def _convert(record: dict, field: str, convert, path=None, line=None):
-    """convert(record[field]); a value that convert rejects is reported at the field."""
-    value = _require(record, field, path, line)
+def _located(exc: Exception, field: str | None = None, path=None, line=None) -> InputError:
+    """exc as an InputError at path and line; a field it already names goes under field."""
+    if isinstance(exc, json.JSONDecodeError):
+        exc = InputError(f"invalid JSON: {exc.msg}", line=line or exc.lineno)
+    elif not isinstance(exc, InputError):
+        exc = InputError(str(exc))
+    if field is not None:
+        exc.field = field if exc.field is None else f"{field}.{exc.field}"
+    exc.path, exc.line = exc.path or path, exc.line or line
+    return exc
+
+
+def _at(build, value, *args, field: str | None = None, path=None):
+    """build(value, *args); a failure is reported at path, under field."""
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc), path=path, line=line, field=field) from exc
+        return build(value, *args)
+    except _BAD_VALUE as exc:
+        raise _located(exc, field, path)
 
 
-def _vector(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+def _require(record, field: str):
+    try:
+        return record[field]
+    except (KeyError, TypeError):
+        _object(record)
+        raise InputError("missing required field", field=field) from None
+
+
+def _convert(record, field: str, convert, *args, default=_REQUIRED):
+    """convert(record[field], *args) at the field; a field given a default may be absent or null."""
+    if default is not _REQUIRED and _object(record).get(field) is None:
+        return default
+    value = _require(record, field)
+    try:
+        return convert(value, *args)
+    except _BAD_VALUE as exc:
+        raise _located(exc, field)
+
+
+# field converters: each takes one decoded JSON value and rejects what its field cannot hold
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {reprlib.repr(value)}")
+    return value
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {reprlib.repr(value)}")
+    return value
+
+
+def _int(value) -> int:
+    """A nonnegative JSON integer: not 1.5, "2" or true."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a nonnegative integer, got {reprlib.repr(value)}")
+    return value
+
+
+def _label(value):
+    if type(value) is not str and type(value) is not int:
+        raise TypeError(f"expected a string or integer label, got {reprlib.repr(value)}")
+    return value
+
+
+def _labels(value) -> list:
+    return [_label(v) for v in _list(value)]
+
+
+def _vector(value, length: int | None = None) -> np.ndarray:
+    v = np.asarray(value, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"expected a list of numbers, got {reprlib.repr(value)}")
+    if length is not None and len(v) != length:
+        raise ValueError(f"expected {length} entries, got {len(v)}")
+    return v
+
+
+def _box(value) -> tuple:
+    if not isinstance(value, list) or len(value) != 4:
+        raise ValueError(f"box must be [x1, y1, x2, y2], got {reprlib.repr(value)}")
+    return tuple(map(float, value))
 
 
 def _float_list(values) -> list[float]:
@@ -108,13 +173,13 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": m.shape[0], "cols": m.shape[1], "data": _float_list(m)}
 
 
+def _array(obj, dims: tuple, coerce) -> np.ndarray:
+    shape = [_convert(obj, d, _int) for d in dims]
+    return coerce(_convert(obj, "data", _vector, math.prod(shape)).reshape(shape))
+
+
 def matrix_from_json(obj: dict, *, path=None) -> np.ndarray:
-    rows = int(_require(obj, "rows", path))
-    cols = int(_require(obj, "cols", path))
-    data = _require(obj, "data", path)
-    if len(data) != rows * cols:
-        raise InputError(f"expected {rows * cols} entries, got {len(data)}", path=path, field="data")
-    return as_matrix(np.asarray(data, dtype=np.float64).reshape(rows, cols))
+    return _at(_array, obj, ("rows", "cols"), as_matrix, path=path)
 
 
 def grid_to_json(g: np.ndarray) -> dict:
@@ -123,13 +188,7 @@ def grid_to_json(g: np.ndarray) -> dict:
 
 
 def grid_from_json(obj: dict, *, path=None) -> np.ndarray:
-    h = int(_require(obj, "h", path))
-    w = int(_require(obj, "w", path))
-    c = int(_require(obj, "c", path))
-    data = _require(obj, "data", path)
-    if len(data) != h * w * c:
-        raise InputError(f"expected {h * w * c} entries, got {len(data)}", path=path, field="data")
-    return as_grid(np.asarray(data, dtype=np.float64).reshape(h, w, c))
+    return _at(_array, obj, ("h", "w", "c"), as_grid, path=path)
 
 
 # --------------------------------------------------------------------------
@@ -146,19 +205,19 @@ def attention_weights_to_json(w: AttentionWeights, prefix: str = "") -> dict:
     return out
 
 
-def attention_weights_from_json(obj: dict, prefix: str = "", *, path=None) -> AttentionWeights:
-    heads = 0
-    while f"{prefix}w_q.h{heads}" in obj:
-        heads += 1
-    if heads == 0:
-        raise InputError("no per-head weights found", path=path, field=f"{prefix}w_q.h0")
-    take = lambda key: matrix_from_json(_require(obj, key, path), path=path)
+def _attention_weights(obj, prefix: str) -> AttentionWeights:
+    heads = next(h for h in itertools.count(1) if f"{prefix}w_q.h{h}" not in _object(obj))
+    take = lambda key: _convert(obj, key, matrix_from_json)
     return AttentionWeights(
         w_q=[take(f"{prefix}w_q.h{h}") for h in range(heads)],
         w_k=[take(f"{prefix}w_k.h{h}") for h in range(heads)],
         w_v=[take(f"{prefix}w_v.h{h}") for h in range(heads)],
         w_o=take(f"{prefix}w_o"),
     )
+
+
+def attention_weights_from_json(obj: dict, prefix: str = "", *, path=None) -> AttentionWeights:
+    return _at(_attention_weights, obj, prefix, path=path)
 
 
 def mlp_weights_to_json(m: MlpWeights, prefix: str = "mlp.") -> dict:
@@ -171,13 +230,9 @@ def mlp_weights_to_json(m: MlpWeights, prefix: str = "mlp.") -> dict:
 
 
 def mlp_weights_from_json(obj: dict, prefix: str = "mlp.", *, path=None) -> MlpWeights:
-    take = lambda key: matrix_from_json(_require(obj, key, path), path=path)
-    return MlpWeights(
-        w1=take(f"{prefix}0"),
-        b1=take(f"{prefix}0.b")[0],
-        w2=take(f"{prefix}1"),
-        b2=take(f"{prefix}1.b")[0],
-    )
+    w1, b1, w2, b2 = [_at(_convert, obj, f"{prefix}{key}", matrix_from_json, path=path)
+                      for key in ("0", "0.b", "1", "1.b")]
+    return _at(MlpWeights, w1, b1.ravel(), w2, b2.ravel(), path=path)
 
 
 # --------------------------------------------------------------------------
@@ -191,33 +246,29 @@ def distribution_to_json(dist: CategoricalDistribution, vocab: list | None = Non
     return out
 
 
+def _distribution(obj) -> CategoricalDistribution:
+    size = _convert(obj, "size", _int, default=len(_convert(obj, "p", _list)))
+    return _convert(obj, "p", lambda p: CategoricalDistribution(size, _vector(p)))
+
+
 def distribution_from_json(obj: dict, *, path=None) -> CategoricalDistribution:
-    p = _require(obj, "p", path)
-    size = int(obj.get("size", len(p)))
-    try:
-        return CategoricalDistribution(size=size, p=np.asarray(p, dtype=np.float64))
-    except ValueError as exc:
-        raise InputError(str(exc), path=path, field="p") from exc
+    return _at(_distribution, obj, path=path)
 
 
 # --------------------------------------------------------------------------
 # JSON-lines helpers
 
 
-def _read_jsonl(path) -> list[tuple[int, dict]]:
-    rows = []
-    text = Path(path).read_text()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc.msg}", path=str(path), line=line_no) from exc
-        if not isinstance(obj, dict):
-            raise InputError("each line must hold a JSON object", path=str(path), line=line_no)
-        rows.append((line_no, obj))
-    return rows
+def _read_jsonl(path, build) -> list:
+    """build(record) for each record of a JSON-lines file; a failure is reported at its line."""
+    out = []
+    for line_no, line in enumerate(_at(Path.read_text, Path(path), path=str(path)).splitlines(), start=1):
+        if line.strip():
+            try:
+                out.append(build(json.loads(line)))
+            except _BAD_VALUE as exc:
+                raise _located(exc, path=str(path), line=line_no)
+    return out
 
 
 def _write_lines(path, dicts) -> None:
@@ -225,31 +276,20 @@ def _write_lines(path, dicts) -> None:
     Path(path).write_text(text)
 
 
-def _box_from(obj, path, line) -> tuple:
-    box = _require(obj, "box", path, line)
-    if not isinstance(box, list) or len(box) != 4:
-        raise InputError("box must be [x1, y1, x2, y2]", path=path, line=line, field="box")
-    return tuple(float(v) for v in box)
-
-
 # --------------------------------------------------------------------------
 # clips and zones
 
 
 def read_clips(path) -> list[ClipRecord]:
-    clips = []
-    for line_no, obj in _read_jsonl(path):
-        clips.append(ClipRecord(
-            clip_id=str(_require(obj, "clip", str(path), line_no)),
-            visual=_convert(obj, "visual", _vector, str(path), line_no),
-            text=None if obj.get("text") is None
-            else _convert(obj, "text", _vector, str(path), line_no),
-            nouns=_convert(obj, "nouns", frozenset, str(path), line_no),
-            verbs=_convert(obj, "verbs", frozenset, str(path), line_no),
-            video_id=str(_require(obj, "video", str(path), line_no)),
-            frame_index=_convert(obj, "frame", int, str(path), line_no) if "frame" in obj else 0,
-        ))
-    return clips
+    return _read_jsonl(path, lambda obj: ClipRecord(
+        clip_id=str(_require(obj, "clip")),
+        visual=_convert(obj, "visual", _vector),
+        text=_convert(obj, "text", _vector, default=None),
+        nouns=frozenset(_convert(obj, "nouns", _labels)),
+        verbs=frozenset(_convert(obj, "verbs", _labels)),
+        video_id=str(_require(obj, "video")),
+        frame_index=_convert(obj, "frame", _int, default=0),
+    ))
 
 
 def write_clips(path, clips: list[ClipRecord]) -> None:
@@ -288,24 +328,33 @@ def write_zone_db(path, zones: list[Zone], noun_vocab: list, verb_vocab: list,
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_zone_db(path) -> tuple[list[Zone], list, list, dict]:
-    obj = read_json(path)
+def _zone(z, length: int | None) -> Zone:
+    return Zone(
+        zone_id=str(_require(z, "id")),
+        clip_ids=[str(c) for c in _convert(z, "clips", _labels, default=[])],
+        nouns=set(_convert(z, "nouns", _labels)),
+        verbs=set(_convert(z, "verbs", _labels)),
+        visual=(visual := _convert(z, "visual", _vector, length)),
+        text=_convert(z, "text", _vector, len(visual), default=None),
+    )
+
+
+def _zone_db(obj) -> tuple[list[Zone], list, list, dict]:
     zones = []
-    for i, z in enumerate(obj.get("zones", [])):
-        try:
-            zones.append(Zone(
-                zone_id=str(_require(z, "id", str(path))),
-                clip_ids=[str(c) for c in _convert(z, "clips", list, str(path))]
-                if "clips" in z else [],
-                nouns=_convert(z, "nouns", set, str(path)),
-                verbs=_convert(z, "verbs", set, str(path)),
-                visual=_convert(z, "visual", _vector, str(path)),
-                text=None if z.get("text") is None else _convert(z, "text", _vector, str(path)),
-            ))
-        except InputError as exc:
-            exc.field = f"zones[{i}].{exc.field}"
-            raise
-    return zones, list(obj.get("noun_vocab", [])), list(obj.get("verb_vocab", [])), dict(obj.get("params", {}))
+    for i, z in enumerate(_convert(obj, "zones", _list, default=[])):
+        zones.append(_at(_zone, z, len(zones[0].visual) if zones else None, field=f"zones[{i}]"))
+    return (zones, _convert(obj, "noun_vocab", _labels, default=[]),
+            _convert(obj, "verb_vocab", _labels, default=[]),
+            dict(_convert(obj, "params", _object, default={})))
+
+
+def read_zone_db(path) -> tuple[list[Zone], list, list, dict]:
+    return _at(_zone_db, read_json(path), path=str(path))
+
+
+def read_descriptor(path, length: int | None = None) -> np.ndarray:
+    """The "visual" vector of a query file, holding length entries when given."""
+    return _at(_convert, read_json(path), "visual", _vector, length, path=str(path))
 
 
 # --------------------------------------------------------------------------
@@ -329,26 +378,16 @@ def _detection_dict(d: Detection) -> dict:
 
 
 def read_detections(path) -> list[Detection]:
-    dets = []
-    for line_no, obj in _read_jsonl(path):
-        try:
-            dets.append(Detection(
-                uid=str(_require(obj, "uid", str(path), line_no)),
-                box=_box_from(obj, str(path), line_no),
-                noun=_require(obj, "noun", str(path), line_no),
-                verb=_require(obj, "verb", str(path), line_no),
-                ttc=_convert(obj, "ttc", float, str(path), line_no),
-                score=_convert(obj, "score", float, str(path), line_no),
-                noun_probs=None if obj.get("noun_probs") is None
-                else np.asarray(obj["noun_probs"], dtype=np.float64),
-                verb_probs=None if obj.get("verb_probs") is None
-                else np.asarray(obj["verb_probs"], dtype=np.float64),
-            ))
-        except ValueError as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(str(exc), path=str(path), line=line_no) from exc
-    return dets
+    return _read_jsonl(path, lambda obj: Detection(
+        uid=str(_require(obj, "uid")),
+        box=_convert(obj, "box", _box),
+        noun=_convert(obj, "noun", _label),
+        verb=_convert(obj, "verb", _label),
+        ttc=_convert(obj, "ttc", float),
+        score=_convert(obj, "score", float),
+        noun_probs=_convert(obj, "noun_probs", _vector, default=None),
+        verb_probs=_convert(obj, "verb_probs", _vector, default=None),
+    ))
 
 
 def write_detections(path, dets: list[Detection]) -> None:
@@ -356,21 +395,13 @@ def write_detections(path, dets: list[Detection]) -> None:
 
 
 def read_ground_truth(path) -> list[GroundTruth]:
-    gts = []
-    for line_no, obj in _read_jsonl(path):
-        try:
-            gts.append(GroundTruth(
-                uid=str(_require(obj, "uid", str(path), line_no)),
-                box=_box_from(obj, str(path), line_no),
-                noun=_require(obj, "noun", str(path), line_no),
-                verb=_require(obj, "verb", str(path), line_no),
-                ttc=_convert(obj, "ttc", float, str(path), line_no),
-            ))
-        except ValueError as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(str(exc), path=str(path), line=line_no) from exc
-    return gts
+    return _read_jsonl(path, lambda obj: GroundTruth(
+        uid=str(_require(obj, "uid")),
+        box=_convert(obj, "box", _box),
+        noun=_convert(obj, "noun", _label),
+        verb=_convert(obj, "verb", _label),
+        ttc=_convert(obj, "ttc", float),
+    ))
 
 
 def write_ground_truth(path, gts: list[GroundTruth]) -> None:
@@ -386,21 +417,15 @@ def write_ground_truth(path, gts: list[GroundTruth]) -> None:
 
 def read_hotspot_maps(path) -> dict[str, HotspotMap]:
     maps: dict[str, HotspotMap] = {}
-    for line_no, obj in _read_jsonl(path):
-        uid = str(_require(obj, "uid", str(path), line_no))
+
+    def add(obj) -> None:
+        uid = str(_require(obj, "uid"))
         if uid in maps:
-            raise InputError(f"duplicate hotspot map for image {uid!r}",
-                             path=str(path), line=line_no, field="uid")
-        h = _convert(obj, "h", int, str(path), line_no)
-        w = _convert(obj, "w", int, str(path), line_no)
-        p = _convert(obj, "p", _vector, str(path), line_no)
-        if p.shape != (h * w,):
-            raise InputError(f"expected {h * w} probabilities, got shape {p.shape}",
-                             path=str(path), line=line_no, field="p")
-        try:
-            maps[uid] = HotspotMap(uid=uid, p=p.reshape(h, w))
-        except ValueError as exc:
-            raise InputError(str(exc), path=str(path), line=line_no, field="p") from exc
+            raise InputError(f"duplicate hotspot map for image {uid!r}", field="uid")
+        h, w = _convert(obj, "h", _int), _convert(obj, "w", _int)
+        maps[uid] = _convert(obj, "p", lambda p: HotspotMap(uid, _vector(p, h * w).reshape(h, w)))
+
+    _read_jsonl(path, add)
     return maps
 
 
@@ -436,58 +461,46 @@ def write_sta_records(path, records: list[STARecord]) -> None:
 # CSV annotations
 
 
-def _open_csv(path, expected_cols: int, numeric_probe: int):
-    """Yield (line_no, row) skipping an optional header row."""
+def _read_csv(path, columns: int, build) -> list:
+    """build(row) per row, skipping blank rows and a first row whose column 2 is no number."""
+    out = []
     with open(path, newline="") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
-            if len(row) != expected_cols:
-                raise InputError(f"expected {expected_cols} columns, got {len(row)}",
-                                 path=str(path), line=line_no)
-            if line_no == 1:
-                try:
-                    float(row[numeric_probe])
-                except ValueError:
-                    continue  # header row
-            yield line_no, row
+            try:
+                if len(row) != columns:
+                    raise ValueError(f"expected {columns} columns, got {len(row)}")
+                if line_no == 1:
+                    try:
+                        float(row[1])
+                    except ValueError:
+                        continue  # header row
+                out.append(build(row))
+            except _BAD_VALUE as exc:
+                raise _located(exc, path=str(path), line=line_no)
+    return out
 
 
 def read_boxes_csv(path) -> list[BoxAnnotation]:
     """Columns: video_id, frame, noun, x1, y1, x2, y2."""
-    boxes = []
-    for line_no, row in _open_csv(path, 7, 1):
-        try:
-            boxes.append(BoxAnnotation(
-                video_id=row[0].strip(),
-                frame=int(row[1]),
-                noun=row[2].strip(),
-                box=(float(row[3]), float(row[4]), float(row[5]), float(row[6])),
-            ))
-        except ValueError as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(str(exc), path=str(path), line=line_no) from exc
-    return boxes
+    return _read_csv(path, 7, lambda row: BoxAnnotation(
+        video_id=row[0].strip(),
+        frame=int(row[1]),
+        noun=row[2].strip(),
+        box=(float(row[3]), float(row[4]), float(row[5]), float(row[6])),
+    ))
 
 
 def read_segments_csv(path) -> list[ActionSegment]:
     """Columns: video_id, start, stop, verb, noun."""
-    segments = []
-    for line_no, row in _open_csv(path, 5, 1):
-        try:
-            segments.append(ActionSegment(
-                video_id=row[0].strip(),
-                start=int(row[1]),
-                stop=int(row[2]),
-                verb=row[3].strip(),
-                noun=row[4].strip(),
-            ))
-        except ValueError as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(str(exc), path=str(path), line=line_no) from exc
-    return segments
+    return _read_csv(path, 5, lambda row: ActionSegment(
+        video_id=row[0].strip(),
+        start=int(row[1]),
+        stop=int(row[2]),
+        verb=row[3].strip(),
+        noun=row[4].strip(),
+    ))
 
 
 # --------------------------------------------------------------------------
@@ -499,23 +512,16 @@ def write_eval_report(path, report: EvalReport) -> None:
 
 
 def read_eval_report(path) -> EvalReport:
-    obj = read_json(path)
-    return EvalReport(
-        maps=dict(_require(obj, "maps", str(path))),
-        per_class={k: dict(v) for k, v in obj.get("per_class", {}).items()},
-        counts=dict(obj.get("counts", {})),
-        params=dict(obj.get("params", {})),
-    )
+    return _at(lambda obj: EvalReport(
+        maps=dict(_convert(obj, "maps", _object)),
+        per_class={k: dict(v) for k, v in _convert(obj, "per_class", _object, default={}).items()},
+        counts=dict(_convert(obj, "counts", _object, default={})),
+        params=dict(_convert(obj, "params", _object, default={})),
+    ), read_json(path), path=str(path))
 
 
 def read_json(path) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from exc
-    if not isinstance(obj, dict):
-        raise InputError("expected a JSON object at the top level", path=str(path))
-    return obj
+    return _at(lambda path: _object(json.loads(Path(path).read_text())), path, path=str(path))
 
 
 def write_json(path, obj: dict) -> None:

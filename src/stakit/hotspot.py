@@ -82,8 +82,8 @@ class Detection:
         x1, y1, x2, y2 = self.box
         if not (x1 < x2 and y1 < y2):
             raise ValueError(f"box must satisfy x1 < x2 and y1 < y2, got {self.box}")
-        if self.ttc <= 0:
-            raise ValueError(f"time to contact must be positive, got {self.ttc}")
+        if not 0 < self.ttc < math.inf:
+            raise ValueError(f"time to contact must be finite and positive, got {self.ttc}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 

@@ -100,6 +100,33 @@ def test_afford_query_rejects_oversized_k(tmp_path, capsys):
     assert "k must lie in" in record["message"]
 
 
+ZONE = {"id": "a:0", "clips": ["c0"], "nouns": ["cup"], "verbs": ["take"], "visual": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("zones_doc, desc_doc, bad_file, field", [
+    ({"zones": [5]}, {"visual": [1.0, 0.0]}, "zones", "zones[0]"),
+    ({"zones": "a:0"}, {"visual": [1.0, 0.0]}, "zones", "zones"),
+    ({"zones": [ZONE], "noun_vocab": "cup"}, {"visual": [1.0, 0.0]}, "zones", "noun_vocab"),
+    ({"zones": [ZONE], "verb_vocab": {"take": 0}}, {"visual": [1.0, 0.0]}, "zones", "verb_vocab"),
+    ({"zones": [ZONE], "params": 0.5}, {"visual": [1.0, 0.0]}, "zones", "params"),
+    ({"zones": [ZONE]}, {"visual": "abc"}, "desc", "visual"),
+    ({"zones": [ZONE]}, {"visual": [1.0, 0.0, 0.0]}, "desc", "visual"),
+    ({"zones": [ZONE]}, {"text": [1.0, 0.0]}, "desc", "visual"),
+])
+def test_afford_query_bad_input_exits_two_naming_file_and_field(tmp_path, capsys, zones_doc,
+                                                                desc_doc, bad_file, field):
+    paths = {"zones": tmp_path / "zones.json", "desc": tmp_path / "query.json"}
+    paths["zones"].write_text(json.dumps({"noun_vocab": ["cup"], "verb_vocab": ["take"], **zones_doc}))
+    paths["desc"].write_text(json.dumps(desc_doc))
+    code, out, err = run_cli(["afford", "query", "--zones", str(paths["zones"]),
+                              "--desc", str(paths["desc"]), "--k", "1"], capsys)
+    assert code == 2, err
+    record = json.loads(err)["error"]
+    assert record["type"] == "InputError"
+    assert record["file"] == str(paths[bad_file])
+    assert record["field"] == field
+
+
 # ---------------------------------------------------------------------------
 # afford fuse
 

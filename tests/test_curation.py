@@ -270,3 +270,9 @@ def test_annotation_validation():
         ObjectTrack("t", "v", "cup", [])
     with pytest.raises(ValueError, match="nondecreasing"):
         ObjectTrack("t", "v", "cup", [(5, (0, 0, 1, 1)), (3, (0, 0, 1, 1))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_sta_record_rejects_non_finite_or_nonpositive_ttc(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        cur.STARecord("v", 1, (0.0, 0.0, 1.0, 1.0), "cup", "take", bad)

@@ -206,6 +206,15 @@ def test_evaluate_validates_inputs():
         ev.evaluate(dets, gts, [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ground_truth_rejects_non_finite_ttc(bad):
+    # a NaN ttc would pass every ttc tolerance: abs(nan - 1.0) > tol is False
+    with pytest.raises(ValueError, match="finite and positive"):
+        gt("img0", (0, 0, 10, 10), 0, "take", bad)
+    with pytest.raises(ValueError, match="finite and positive"):
+        det("img0", (0, 0, 10, 10), 0, "take", bad, 0.5)
+
+
 def test_image_uids_extends_image_set():
     gts = [gt("img0", (0, 0, 10, 10), 0, "take", 1.0)]
     extra = det("empty", (0, 0, 1, 1), 0, "take", 1.0, 0.99)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stakit import formats as fm
 from stakit.affordance import CategoricalDistribution, ClipRecord, Zone, build_zones, descriptor_similarity_01
@@ -132,6 +134,7 @@ def test_read_clips_missing_field_names_it(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("frame", "x"), ("visual", ["a"]), ("text", "words"), ("nouns", 5),
+    ("frame", 2.7), ("frame", True), ("visual", 5), ("verbs", [1.5]),
 ])
 def test_read_clips_names_unreadable_field(tmp_path, field, value):
     path = tmp_path / "clips.jsonl"
@@ -170,6 +173,38 @@ def test_zone_db_names_unreadable_field(tmp_path):
     with pytest.raises(fm.InputError) as info:
         fm.read_zone_db(path)
     assert (info.value.path, info.value.field) == (str(path), "zones[0].clips")
+
+
+ZONE = {"id": "z0", "nouns": ["cup"], "verbs": [], "visual": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"zones": [5]}, "zones[0]"),
+    ({"zones": {"id": "z0"}}, "zones"),
+    ({"zones": [ZONE], "noun_vocab": "cup"}, "noun_vocab"),
+    ({"zones": [ZONE], "verb_vocab": 3}, "verb_vocab"),
+    ({"zones": [ZONE], "params": [0.5, 5]}, "params"),
+    ({"zones": [ZONE, {**ZONE, "id": "z1", "visual": [1.0]}]}, "zones[1].visual"),
+    ({"zones": [{**ZONE, "text": [1.0, 0.0, 0.0]}]}, "zones[0].text"),
+])
+def test_zone_db_names_malformed_field(tmp_path, doc, field):
+    path = tmp_path / "zones.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fm.InputError) as info:
+        fm.read_zone_db(path)
+    assert (info.value.path, info.value.field) == (str(path), field)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"visual": "abc"}, "could not convert"), ({"visual": [1.0, 0.0, 0.0]}, "expected 2 entries"),
+    ({"visual": [[1.0, 0.0]]}, "list of numbers"), ({"text": [1.0, 0.0]}, "missing"),
+])
+def test_read_descriptor_names_visual(tmp_path, doc, match):
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fm.InputError, match=match) as info:
+        fm.read_descriptor(path, 2)
+    assert (info.value.path, info.value.field) == (str(path), "visual")
 
 
 def sample_detections():
@@ -214,6 +249,9 @@ def test_read_detections_box_shape_error(tmp_path):
 @pytest.mark.parametrize("read, field, value", [
     (fm.read_detections, "ttc", None), (fm.read_detections, "score", "high"),
     (fm.read_ground_truth, "ttc", [1.0]),
+    (fm.read_detections, "noun", [1]), (fm.read_detections, "noun_probs", "abc"),
+    (fm.read_ground_truth, "verb", 1.5),
+    pytest.param(fm.read_detections, "ttc", 10 ** 400, id="ttc-overflows-float"),
 ])
 def test_detection_readers_name_unreadable_field(tmp_path, read, field, value):
     path = tmp_path / "dets.jsonl"
@@ -270,7 +308,8 @@ def test_hotspot_maps_length_mismatch_error(tmp_path):
     assert info.value.field == "p"
 
 
-@pytest.mark.parametrize("field, value", [("h", "two"), ("w", None), ("p", ["x", 0.5])])
+@pytest.mark.parametrize("field, value", [("h", "two"), ("w", None), ("p", ["x", 0.5]),
+                                          ("h", 1.5), ("w", True)])
 def test_hotspot_maps_name_unreadable_field(tmp_path, field, value):
     path = tmp_path / "maps.jsonl"
     row = {"uid": "u", "h": 1, "w": 2, "p": [0.5, 0.5]}
@@ -278,6 +317,19 @@ def test_hotspot_maps_name_unreadable_field(tmp_path, field, value):
     with pytest.raises(fm.InputError) as info:
         fm.read_hotspot_maps(path)
     assert (info.value.path, info.value.line, info.value.field) == (str(path), 2, field)
+
+
+# a file that is not UTF-8 fails as a whole, before any line is parsed
+@pytest.mark.parametrize("bad_line, line", [(b"[" * 100_000 + b"]" * 100_000, 2),
+                                            (b'{"uid": "\xff"}', None)],
+                         ids=["too-deeply-nested", "not-utf-8"])
+def test_jsonl_unparseable_line_is_located(tmp_path, bad_line, line):
+    path = tmp_path / "dets.jsonl"
+    good = json.dumps({"uid": "u", "box": [0, 0, 1, 1], "noun": 0, "verb": 0, "ttc": 1.0, "score": 0.5})
+    path.write_bytes(good.encode() + b"\n" + bad_line + b"\n")
+    with pytest.raises(fm.InputError) as info:
+        fm.read_detections(path)
+    assert (info.value.path, info.value.line) == (str(path), line)
 
 
 def test_sta_record_uid_format():
@@ -370,3 +422,86 @@ def test_input_error_string_shows_location():
 def test_matrix_json_rejects_nan():
     with pytest.raises(ValueError, match="finite"):
         fm.matrix_to_json(np.array([[math.nan]]))
+
+
+# ---------------------------------------------------------------------------
+# any JSON value in any field: a reader returns or raises a located InputError
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def weights_doc():
+    w = AttentionWeights.random(np.random.default_rng(104), 4, 2)
+    return json.loads(json.dumps(fm.attention_weights_to_json(w)))
+
+
+def read_weights_file(path):
+    return fm.attention_weights_from_json(fm.read_json(path), path=str(path))
+
+
+# (reader, one valid record or document, whether the file is JSON lines)
+VALID_INPUTS = {
+    "clips": (fm.read_clips, {"clip": "c0", "video": "v", "frame": 3, "visual": [1.0, 0.5],
+                              "text": [0.0, 1.0], "nouns": ["cup", 2], "verbs": ["take"]}, True),
+    "detections": (fm.read_detections, {"uid": "u", "box": [0.0, 0.0, 1.0, 1.0], "noun": 0,
+                                        "verb": "take", "ttc": 1.0, "score": 0.5,
+                                        "noun_probs": [0.5, 0.5], "verb_probs": [1.0]}, True),
+    "ground_truth": (fm.read_ground_truth, {"uid": "u", "box": [0.0, 0.0, 1.0, 1.0], "noun": "cup",
+                                            "verb": 0, "ttc": 1.0}, True),
+    "hotspot_maps": (fm.read_hotspot_maps, {"uid": "u", "h": 1, "w": 2, "p": [0.25, 0.75]}, True),
+    "zone_db": (fm.read_zone_db,
+                {"zones": [{**ZONE, "clips": ["c0"], "text": [0.0, 1.0]}, {**ZONE, "id": "z1"}],
+                 "noun_vocab": ["cup"], "verb_vocab": ["take"], "params": {"theta": 0.5, "M": 5}},
+                False),
+    "weights": (read_weights_file, weights_doc(), False),
+}
+
+
+def field_paths(value, prefix=()):
+    """Key and index paths to every value nested in value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield prefix + (key,)
+        yield from field_paths(item, prefix + (key,))
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_value_in_any_field_returns_or_raises_located_error(tmp_path, kind, data):
+    read, valid, jsonl = VALID_INPUTS[kind]
+    doc = json.loads(json.dumps(valid))
+    *parents, last = data.draw(st.sampled_from(sorted(field_paths(doc), key=str)))
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = data.draw(JSON_VALUES)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc) + "\n")
+    try:
+        read(path)
+    except fm.InputError as exc:
+        assert exc.path == str(path)
+        assert exc.line == (1 if jsonl else None)
+
+
+def test_valid_inputs_of_the_property_test_load(tmp_path):
+    for read, valid, _ in VALID_INPUTS.values():
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(valid) + "\n")
+        read(path)
+
+
+def test_weights_file_names_the_nested_matrix_field(tmp_path):
+    doc = weights_doc()
+    doc["w_q.h0"]["data"] = doc["w_q.h0"]["data"][:-1]
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fm.InputError, match="expected 8 entries, got 7") as info:
+        read_weights_file(path)
+    assert (info.value.path, info.value.field) == (str(path), "w_q.h0.data")

@@ -37,6 +37,12 @@ def test_hotspot_map_rejects_non_finite(bad):
         HotspotMap("a", [[bad, 0.5]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_detection_rejects_non_finite_or_nonpositive_ttc(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        det(ttc=bad)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
