@@ -26,7 +26,7 @@ detection head live here too since they share the token layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -253,10 +253,10 @@ def _attend_backward(d_out: np.ndarray, cache: dict, w: AttentionWeights):
 # layer norm (no affine) and MLP with caches for the dual-attention backward
 
 
-def _ln_forward(x: np.ndarray, eps: float):
+def _ln_forward(x: np.ndarray):
     mu = x.mean(axis=1, keepdims=True)
     var = np.mean((x - mu) ** 2, axis=1, keepdims=True)
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + LN_EPS)
     xhat = (x - mu) / std
     return xhat, {"xhat": xhat, "std": std}
 
@@ -306,6 +306,11 @@ def _mlp_backward(d_y: np.ndarray, cache: dict, mw: MlpWeights):
 # public operators
 
 
+def _maps(cache: dict) -> list[np.ndarray]:
+    """The per-head attention matrices of an ``_attend_forward`` cache."""
+    return [probs for (_, _, _, probs) in cache["heads"]]
+
+
 def mha(queries: TokenBundle, keys_values: TokenBundle, weights: AttentionWeights) -> TokenBundle:
     """Residual multi-head attention: queries attend over keys/values.
 
@@ -313,49 +318,39 @@ def mha(queries: TokenBundle, keys_values: TokenBundle, weights: AttentionWeight
     added back to the attention output.  Zeroing w_v (or w_o) therefore
     returns the queries untouched.
     """
-    out, _ = _attend_forward(queries.tokens, keys_values.tokens, weights)
-    return TokenBundle(tokens=queries.tokens + out)
+    return mha_with_maps(queries, keys_values, weights)[0]
 
 
 def mha_with_maps(queries: TokenBundle, keys_values: TokenBundle,
                   weights: AttentionWeights) -> tuple[TokenBundle, list[np.ndarray]]:
     """Like ``mha`` but also returns the per-head attention matrices."""
     out, cache = _attend_forward(queries.tokens, keys_values.tokens, weights)
-    maps = [probs for (_, _, _, probs) in cache["heads"]]
-    return TokenBundle(tokens=queries.tokens + out), maps
+    return TokenBundle(tokens=queries.tokens + out), _maps(cache)
 
 
 def frame_guided_pooling(last_frame: TokenBundle, video: TokenBundle,
-                         weights: AttentionWeights, *, normalize_inputs: bool = False) -> TokenBundle:
+                         weights: AttentionWeights) -> TokenBundle:
     """Pool a token stack down to one frame guided by the last frame.
 
     The last frame's n tokens issue the queries; keys and values come from
-    the full stack (t frames, t * n tokens).  The pooled result keeps the
-    last frame as a residual, so identical projections with a zero output
-    map reproduce the last frame exactly.  normalize_inputs applies a
-    plain layer norm to both sides before the projections; the residual
-    stays un-normalised either way.
+    the full stack (t frames, t * n tokens), both taken as they are, with
+    no normalisation.  The pooled result keeps the last frame as a
+    residual, so identical projections with a zero output map reproduce
+    the last frame exactly.
     """
-    bundle, _ = frame_guided_pooling_with_maps(last_frame, video, weights,
-                                               normalize_inputs=normalize_inputs)
-    return bundle
+    return frame_guided_pooling_with_maps(last_frame, video, weights)[0]
 
 
 def frame_guided_pooling_with_maps(last_frame: TokenBundle, video: TokenBundle,
-                                   weights: AttentionWeights, *,
-                                   normalize_inputs: bool = False) -> tuple[TokenBundle, list[np.ndarray]]:
+                                   weights: AttentionWeights) -> tuple[TokenBundle, list[np.ndarray]]:
+    """Like ``frame_guided_pooling`` but also returns the per-head attention matrices."""
     if last_frame.tokens.shape[0] > video.tokens.shape[0]:
         raise ValueError(
             f"last frame has {last_frame.tokens.shape[0]} tokens but the video stack "
             f"only has {video.tokens.shape[0]}"
         )
-    q_src, kv_src = last_frame.tokens, video.tokens
-    if normalize_inputs:
-        q_src, _ = _ln_forward(q_src, LN_EPS)
-        kv_src, _ = _ln_forward(kv_src, LN_EPS)
-    out, cache = _attend_forward(q_src, kv_src, weights)
-    maps = [probs for (_, _, _, probs) in cache["heads"]]
-    return TokenBundle(tokens=last_frame.tokens + out), maps
+    out, cache = _attend_forward(last_frame.tokens, video.tokens, weights)
+    return TokenBundle(tokens=last_frame.tokens + out), _maps(cache)
 
 
 def _stack_with_class(bundle: TokenBundle, side: str) -> np.ndarray:
@@ -368,19 +363,15 @@ def _stack_with_class(bundle: TokenBundle, side: str) -> np.ndarray:
 
 
 def _dual_forward(image: TokenBundle, video: TokenBundle, w_image: AttentionWeights,
-                  w_video: AttentionWeights, mlp: DualMlpWeights, pre_norm: bool, eps: float):
+                  w_video: AttentionWeights, mlp: DualMlpWeights):
     if image.tokens.shape != video.tokens.shape:
         raise ValueError(
             f"token-count mismatch: image tokens {image.tokens.shape}, video tokens {video.tokens.shape}"
         )
     x_i = _stack_with_class(image, "image")
     x_v = _stack_with_class(video, "video")
-    if pre_norm:
-        n_i, ln_i = _ln_forward(x_i, eps)
-        n_v, ln_v = _ln_forward(x_v, eps)
-    else:
-        n_i, ln_i = x_i, None
-        n_v, ln_v = x_v, None
+    n_i, ln_i = _ln_forward(x_i)
+    n_v, ln_v = _ln_forward(x_v)
     att_i, cache_i = _attend_forward(n_i, n_v, w_image)
     att_v, cache_v = _attend_forward(n_v, n_i, w_video)
     h_i = x_i + att_i
@@ -388,8 +379,7 @@ def _dual_forward(image: TokenBundle, video: TokenBundle, w_image: AttentionWeig
     y_i, mlp_i = _mlp_forward(h_i, mlp.image)
     y_v, mlp_v = _mlp_forward(h_v, mlp.video)
     cache = {"ln_i": ln_i, "ln_v": ln_v, "att_i": cache_i, "att_v": cache_v,
-             "mlp_i": mlp_i, "mlp_v": mlp_v, "pre_norm": pre_norm,
-             "has_pos_i": image.positional is not None, "has_pos_v": video.positional is not None}
+             "mlp_i": mlp_i, "mlp_v": mlp_v}
     return y_i, y_v, cache
 
 
@@ -398,31 +388,25 @@ def _split_rows(y: np.ndarray) -> TokenBundle:
 
 
 def dual_attention(image: TokenBundle, video: TokenBundle, w_image: AttentionWeights,
-                   w_video: AttentionWeights, mlp: DualMlpWeights, *,
-                   pre_norm: bool = True, eps: float = LN_EPS) -> tuple[TokenBundle, TokenBundle]:
+                   w_video: AttentionWeights, mlp: DualMlpWeights) -> tuple[TokenBundle, TokenBundle]:
     """Symmetric image/video cross-attention refinement.
 
     Each side's class token is appended as an extra row, positional
     embeddings (when supplied) are added into the residual stream, and a
-    layer norm (pre_norm=True, the default) feeds the attention inputs.
-    The image branch queries with image rows against video rows; the video
-    branch swaps the roles.  Both branches end with a residual MLP.  With
-    w_v and the MLP weights all zero each side comes back equal to its
-    position-embedded residual stream.
+    layer norm without affine parameters (epsilon ``LN_EPS``) always feeds
+    the attention inputs.  The image branch queries with image rows
+    against video rows; the video branch swaps the roles.  Both branches
+    end with a residual MLP.  With w_v and the MLP weights all zero each
+    side comes back equal to its position-embedded residual stream.
     """
-    y_i, y_v, _ = _dual_forward(image, video, w_image, w_video, mlp, pre_norm, eps)
-    return _split_rows(y_i), _split_rows(y_v)
+    return dual_attention_with_maps(image, video, w_image, w_video, mlp)[:2]
 
 
 def dual_attention_with_maps(image: TokenBundle, video: TokenBundle, w_image: AttentionWeights,
-                             w_video: AttentionWeights, mlp: DualMlpWeights, *,
-                             pre_norm: bool = True, eps: float = LN_EPS):
+                             w_video: AttentionWeights, mlp: DualMlpWeights):
     """``dual_attention`` plus the attention matrices of both branches."""
-    y_i, y_v, cache = _dual_forward(image, video, w_image, w_video, mlp, pre_norm, eps)
-    maps = {
-        "image_queries": [p for (_, _, _, p) in cache["att_i"]["heads"]],
-        "video_queries": [p for (_, _, _, p) in cache["att_v"]["heads"]],
-    }
+    y_i, y_v, cache = _dual_forward(image, video, w_image, w_video, mlp)
+    maps = {"image_queries": _maps(cache["att_i"]), "video_queries": _maps(cache["att_v"])}
     return _split_rows(y_i), _split_rows(y_v), maps
 
 
@@ -647,7 +631,7 @@ def _dual_case(inputs, weights):
     # full pass, so the loss comes out bit for bit the same.
     x_i = _stack_with_class(image, "image")
     x_v = _stack_with_class(video, "video")
-    y_i0, y_v0, base = _dual_forward(image, video, w_image, w_video, mlp, True, LN_EPS)
+    y_i0, y_v0, base = _dual_forward(image, video, w_image, w_video, mlp)
     n_i, n_v = base["att_i"]["q_src"], base["att_v"]["q_src"]
     h_i, h_v = base["mlp_i"]["x"], base["mlp_v"]["x"]
 
@@ -668,11 +652,11 @@ def _dual_case(inputs, weights):
                                          name[len("video_branch."):])
             y_v, _ = _mlp_forward(x_v + att_v, mlp.video)
             return _loss_from([y_i0, y_v])
-        y_i, y_v, _ = _dual_forward(image, video, w_image, w_video, mlp, True, LN_EPS)
+        y_i, y_v, _ = _dual_forward(image, video, w_image, w_video, mlp)
         return _loss_from([y_i, y_v])
 
     def loss_and_grads():
-        y_i, y_v, cache = _dual_forward(image, video, w_image, w_video, mlp, True, LN_EPS)
+        y_i, y_v, cache = _dual_forward(image, video, w_image, w_video, mlp)
         d_h_i, g_mlp_i = _mlp_backward(y_i, cache["mlp_i"], mlp.image)
         d_h_v, g_mlp_v = _mlp_backward(y_v, cache["mlp_v"], mlp.video)
         d_n_i_a, d_n_v_a, g_image = _attend_backward(d_h_i, cache["att_i"], w_image)
@@ -747,12 +731,12 @@ def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckR
 
 
 def random_instance(op_id: str, seed: int, *, d_model: int = 8, heads: int = 2,
-                    d_head: int | None = None, n_tokens: int = 3, n_frames: int = 2,
-                    mlp_hidden: int | None = None):
+                    n_tokens: int = 3, mlp_hidden: int | None = None):
     """Build a random (inputs, weights) pair for ``grad_check``.
 
-    The same seed always produces the same instance, which keeps CLI runs
-    and test sweeps reproducible.
+    Heads are d_model // heads wide and the pooling stack holds two
+    frames.  The same seed always produces the same instance, which keeps
+    CLI runs and test sweeps reproducible.
     """
     if op_id not in _CASE_BUILDERS:
         raise ValueError(f"unknown grad-check op {op_id!r}; expected one of {GRAD_CHECK_OPS}")
@@ -760,19 +744,19 @@ def random_instance(op_id: str, seed: int, *, d_model: int = 8, heads: int = 2,
     if op_id == "mha":
         queries = TokenBundle(tokens=rng.normal(size=(n_tokens, d_model)))
         keys_values = TokenBundle(tokens=rng.normal(size=(n_tokens + 1, d_model)))
-        return (queries, keys_values), AttentionWeights.random(rng, d_model, heads, d_head)
+        return (queries, keys_values), AttentionWeights.random(rng, d_model, heads)
     if op_id == "frame_guided_pooling":
         last = TokenBundle(tokens=rng.normal(size=(n_tokens, d_model)))
-        video = TokenBundle(tokens=rng.normal(size=(n_frames * n_tokens, d_model)))
-        return (last, video), AttentionWeights.random(rng, d_model, heads, d_head)
+        video = TokenBundle(tokens=rng.normal(size=(2 * n_tokens, d_model)))
+        return (last, video), AttentionWeights.random(rng, d_model, heads)
     image = TokenBundle(tokens=rng.normal(size=(n_tokens, d_model)),
                         class_token=rng.normal(size=d_model),
                         positional=rng.normal(scale=0.2, size=(n_tokens + 1, d_model)))
     video = TokenBundle(tokens=rng.normal(size=(n_tokens, d_model)),
                         class_token=rng.normal(size=d_model),
                         positional=rng.normal(scale=0.2, size=(n_tokens + 1, d_model)))
-    weights = (AttentionWeights.random(rng, d_model, heads, d_head),
-               AttentionWeights.random(rng, d_model, heads, d_head),
+    weights = (AttentionWeights.random(rng, d_model, heads),
+               AttentionWeights.random(rng, d_model, heads),
                DualMlpWeights(image=MlpWeights.random(rng, d_model, mlp_hidden),
                               video=MlpWeights.random(rng, d_model, mlp_hidden)))
     return (image, video), weights

@@ -33,7 +33,7 @@ from .affordance import (DEFAULT_K, DEFAULT_RECENT, DEFAULT_THETA, DEFAULT_WEIGH
                          fuse_distributions, knn_query)
 from .attention import GRAD_CHECK_OPS, grad_check, random_instance
 from .curation import DEFAULT_GAP, curate
-from .evaluation import evaluate, standard_criteria
+from .evaluation import evaluate
 from .hotspot import reweight, upsample_map
 
 log = logging.getLogger("stakit")
@@ -286,8 +286,7 @@ def _cmd_hotspot_reweight(cfg: RunConfig) -> int:
 def _cmd_eval_sta(cfg: RunConfig) -> int:
     dets = formats.read_detections(cfg.dets)
     gts = formats.read_ground_truth(cfg.gt)
-    report = evaluate(dets, gts, standard_criteria(cfg.iou, cfg.ttc_tol),
-                      top_k=cfg.topk)
+    report = evaluate(dets, gts, top_k=cfg.topk, iou_threshold=cfg.iou, ttc_tolerance=cfg.ttc_tol)
     if cfg.report:
         formats.write_eval_report(cfg.report, report)
     _emit(report.to_json())

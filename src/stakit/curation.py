@@ -42,8 +42,8 @@ class BoxAnnotation:
 
     def __post_init__(self) -> None:
         x1, y1, x2, y2 = self.box
-        if not (x1 < x2 and y1 < y2):
-            raise ValueError(f"box must satisfy x1 < x2 and y1 < y2, got {self.box}")
+        if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
+            raise ValueError(f"box must be finite with x1 < x2 and y1 < y2, got {self.box}")
         if self.frame < 0:
             raise ValueError(f"frame must be nonnegative, got {self.frame}")
 

@@ -5,11 +5,12 @@ Protocol: per image, only the five highest-scored detections are kept
 greedily assigned to ground-truth boxes in descending score order; a
 detection takes the unassigned same-class box with the highest IoU at or
 above the threshold.  The assignment depends on boxes and nouns only and
-is shared by all criteria evaluated at that threshold; each criterion
-then accepts or rejects the assigned pair through its extra conditions
-(verb equality, time-to-contact proximity).  Sharing the assignment is
-what guarantees the nesting overall <= noun_verb/noun_ttc <= noun for
-every input.  AP uses all-point interpolation (the precision envelope);
+is shared by all criteria; each criterion then accepts or rejects the
+assigned pair through its extra conditions (verb equality,
+time-to-contact proximity within the tolerance).  The IoU threshold and
+the ttc tolerance are set once per evaluation, so sharing the assignment
+guarantees the nesting overall <= noun_verb/noun_ttc <= noun for every
+input.  AP uses all-point interpolation (the precision envelope);
 mAP averages over the noun classes present in the ground truth.
 """
 
@@ -43,8 +44,8 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         x1, y1, x2, y2 = self.box
-        if not (x1 < x2 and y1 < y2):
-            raise ValueError(f"box must satisfy x1 < x2 and y1 < y2, got {self.box}")
+        if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
+            raise ValueError(f"box must be finite with x1 < x2 and y1 < y2, got {self.box}")
         if not 0 < self.ttc < math.inf:
             raise ValueError(f"time to contact must be finite and positive, got {self.ttc}")
 
@@ -54,33 +55,24 @@ class MatchCriterion:
     """What a matched prediction must get right to count as a true positive."""
 
     name: str
-    iou_threshold: float = 0.5
     require_verb: bool = False
     require_ttc: bool = False
-    ttc_tolerance: float = 0.25
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.iou_threshold <= 1.0:
-            raise ValueError(f"iou_threshold must lie in (0, 1], got {self.iou_threshold}")
-        if self.ttc_tolerance <= 0:
-            raise ValueError(f"ttc_tolerance must be positive, got {self.ttc_tolerance}")
-
-    def accepts(self, det, gt) -> bool:
+    def accepts(self, det, gt, ttc_tolerance: float) -> bool:
         if self.require_verb and det.verb != gt.verb:
             return False
-        if self.require_ttc and abs(det.ttc - gt.ttc) > self.ttc_tolerance:
+        if self.require_ttc and abs(det.ttc - gt.ttc) > ttc_tolerance:
             return False
         return True
 
 
-def standard_criteria(iou_threshold: float = 0.5, ttc_tolerance: float = 0.25) -> list[MatchCriterion]:
+def standard_criteria() -> list[MatchCriterion]:
     """The four report columns: noun, noun+verb, noun+ttc, overall."""
     return [
-        MatchCriterion("noun", iou_threshold),
-        MatchCriterion("noun_verb", iou_threshold, require_verb=True, ttc_tolerance=ttc_tolerance),
-        MatchCriterion("noun_ttc", iou_threshold, require_ttc=True, ttc_tolerance=ttc_tolerance),
-        MatchCriterion("overall", iou_threshold, require_verb=True, require_ttc=True,
-                       ttc_tolerance=ttc_tolerance),
+        MatchCriterion("noun"),
+        MatchCriterion("noun_verb", require_verb=True),
+        MatchCriterion("noun_ttc", require_ttc=True),
+        MatchCriterion("overall", require_verb=True, require_ttc=True),
     ]
 
 
@@ -181,40 +173,42 @@ def _average_precision(rows: list, npos: int) -> float:
     return ap
 
 
-def _image_assignments(retained: list, gts_img: list, thresholds: tuple) -> dict:
-    """Per-threshold greedy assignments for one image, grouped by class."""
+def _image_assignments(retained: list, gts_img: list, iou_threshold: float) -> list:
+    """(detection, index, assigned ground truth or None) for one image's kept detections."""
     by_class: dict = {}
     for det, idx in retained:
         by_class.setdefault(det.noun, []).append((det, idx))
     gt_by_class: dict = {}
     for gt in gts_img:
         gt_by_class.setdefault(gt.noun, []).append(gt)
-    out = {}
-    for thr in thresholds:
-        matches = []
-        for cls, dets_cls in by_class.items():
-            gts_cls = gt_by_class.get(cls, [])
-            assigned = assign_matches([d for d, _ in dets_cls], gts_cls, thr)
-            for (det, idx), j in zip(dets_cls, assigned):
-                matches.append((det, idx, gts_cls[j] if j is not None else None))
-        out[thr] = matches
-    return out
+    matches = []
+    for cls, dets_cls in by_class.items():
+        gts_cls = gt_by_class.get(cls, [])
+        assigned = assign_matches([d for d, _ in dets_cls], gts_cls, iou_threshold)
+        for (det, idx), j in zip(dets_cls, assigned):
+            matches.append((det, idx, gts_cls[j] if j is not None else None))
+    return matches
 
 
 def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int = 5,
-             image_uids=None) -> EvalReport:
+             iou_threshold: float = 0.5, ttc_tolerance: float = 0.25) -> EvalReport:
     """Score detections against ground truth under every criterion.
 
-    Images are identified by uid; the ground-truth uids define the image
-    set (extend it with image_uids for images that have no annotation).
-    Classes that appear in the ground truth but attract no predictions
-    score AP 0; predicted classes absent from the ground truth are
-    ignored.
+    Images are identified by uid, and the ground-truth uids define the
+    image set.  One box assignment at iou_threshold is shared by every
+    criterion, and the criteria that require a time to contact accept it
+    within ttc_tolerance seconds.  Classes that appear in the ground
+    truth but attract no predictions score AP 0; predicted classes absent
+    from the ground truth are ignored.
     """
     if not gts:
         raise ValueError("ground truth is empty, mAP is undefined")
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+    if not ttc_tolerance > 0:
+        raise ValueError(f"ttc_tolerance must be positive, got {ttc_tolerance}")
     criteria = list(criteria) if criteria is not None else standard_criteria()
     if not criteria:
         raise ValueError("at least one criterion is required")
@@ -225,11 +219,8 @@ def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int 
     gts_by_uid: dict = {}
     for gt in gts:
         gts_by_uid.setdefault(gt.uid, []).append(gt)
-    image_set = set(gts_by_uid)
-    if image_uids is not None:
-        image_set.update(image_uids)
     for det in dets:
-        if det.uid not in image_set:
+        if det.uid not in gts_by_uid:
             raise ValueError(f"detection references unknown image {det.uid!r}")
 
     dets_by_uid: dict = {}
@@ -239,8 +230,7 @@ def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int 
     retained_by_uid = {uid: _top_k(pairs, top_k) for uid, pairs in dets_by_uid.items()}
     kept = sum(len(v) for v in retained_by_uid.values())
 
-    thresholds = tuple(sorted({c.iou_threshold for c in criteria}))
-    per_image = [_image_assignments(retained_by_uid[uid], gts_by_uid.get(uid, []), thresholds)
+    per_image = [_image_assignments(retained_by_uid[uid], gts_by_uid[uid], iou_threshold)
                  for uid in sorted(retained_by_uid)]
 
     npos: dict = {}
@@ -251,10 +241,10 @@ def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int 
     rows: dict = {c.name: {cls: [] for cls in classes} for c in criteria}
     for assignments in per_image:
         for crit in criteria:
-            for det, idx, gt in assignments[crit.iou_threshold]:
+            for det, idx, gt in assignments:
                 if det.noun not in npos:
                     continue  # predicted class absent from ground truth
-                flag = gt is not None and crit.accepts(det, gt)
+                flag = gt is not None and crit.accepts(det, gt, ttc_tolerance)
                 rows[crit.name][det.noun].append((det.score, idx, flag))
 
     per_class = {}
@@ -270,9 +260,9 @@ def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int 
     return EvalReport(
         maps=maps,
         per_class=per_class,
-        counts={"images": len(image_set), "ground_truth": len(gts), "predictions_kept": kept},
+        counts={"images": len(gts_by_uid), "ground_truth": len(gts), "predictions_kept": kept},
         params={"top_k": top_k,
-                "iou_thresholds": list(thresholds),
+                "iou_thresholds": [iou_threshold],
                 "criteria": names},
     )
 

@@ -149,6 +149,8 @@ def _vector(value, length: int | None = None) -> np.ndarray:
     v = np.asarray(value, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a list of numbers, got {reprlib.repr(value)}")
+    if not np.isfinite(v).all():  # null reads as NaN
+        raise ValueError(f"entries must be finite numbers, got {reprlib.repr(value)}")
     if length is not None and len(v) != length:
         raise ValueError(f"expected {length} entries, got {len(v)}")
     return v
@@ -462,23 +464,30 @@ def write_sta_records(path, records: list[STARecord]) -> None:
 
 
 def _read_csv(path, columns: int, build) -> list:
-    """build(row) per row, skipping blank rows and a first row whose column 2 is no number."""
+    """build(row) per row, skipping blank rows and a first row whose column 2 is no number.
+
+    Splitting (an oversized cell) and building fail at the row's line;
+    decoding fails at the file, as the text is decoded block by block.
+    """
     out = []
     with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not "".join(row).strip():
-                continue
-            try:
+        rows = csv.reader(fh)
+        try:
+            for row in rows:
+                if not "".join(row).strip():
+                    continue
                 if len(row) != columns:
                     raise ValueError(f"expected {columns} columns, got {len(row)}")
-                if line_no == 1:
+                if rows.line_num == 1:
                     try:
                         float(row[1])
                     except ValueError:
                         continue  # header row
                 out.append(build(row))
-            except _BAD_VALUE as exc:
-                raise _located(exc, path=str(path), line=line_no)
+        except UnicodeDecodeError as exc:  # its position counts from the start of a block, not the file
+            raise InputError(f"not {exc.encoding} text: {exc.reason}", path=str(path)) from None
+        except (*_BAD_VALUE, csv.Error) as exc:
+            raise _located(exc, path=str(path), line=rows.line_num)
     return out
 
 

@@ -80,8 +80,8 @@ class Detection:
 
     def __post_init__(self) -> None:
         x1, y1, x2, y2 = self.box
-        if not (x1 < x2 and y1 < y2):
-            raise ValueError(f"box must satisfy x1 < x2 and y1 < y2, got {self.box}")
+        if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
+            raise ValueError(f"box must be finite with x1 < x2 and y1 < y2, got {self.box}")
         if not 0 < self.ttc < math.inf:
             raise ValueError(f"time to contact must be finite and positive, got {self.ttc}")
         if not 0.0 <= self.score <= 1.0:

@@ -76,11 +76,10 @@ def loop_mlp(rows, w1, b1, w2, b2):
     return loop_add(rows, out)
 
 
-def loop_dual(image_rows, video_rows, w_image, w_video, mlp_image, mlp_video,
-              pre_norm, eps):
+def loop_dual(image_rows, video_rows, w_image, w_video, mlp_image, mlp_video, eps):
     """Both dual-attention branches; rows already carry class token + positions."""
-    n_i = loop_layer_norm(image_rows, eps) if pre_norm else image_rows
-    n_v = loop_layer_norm(video_rows, eps) if pre_norm else video_rows
+    n_i = loop_layer_norm(image_rows, eps)
+    n_v = loop_layer_norm(video_rows, eps)
     att_i = loop_attention(n_i, n_v, *w_image)
     att_v = loop_attention(n_v, n_i, *w_video)
     h_i = loop_add(image_rows, att_i)

@@ -168,19 +168,6 @@ def test_pooling_matches_straight_line_oracle():
     assert np.allclose(out.tokens, expected, atol=1e-12, rtol=0)
 
 
-def test_pooling_normalized_inputs_keep_raw_residual():
-    from helpers import loop_layer_norm
-    rng = np.random.default_rng(24)
-    last = TokenBundle(rng.normal(size=(2, 4)))
-    video = TokenBundle(rng.normal(size=(6, 4)))
-    w = AttentionWeights.random(rng, 4, 2)
-    out = att.frame_guided_pooling(last, video, w, normalize_inputs=True)
-    q_n = loop_layer_norm(last.tokens.tolist(), att.LN_EPS)
-    kv_n = loop_layer_norm(video.tokens.tolist(), att.LN_EPS)
-    expected = np.array(loop_attention(q_n, kv_n, *weight_lists(w))) + last.tokens
-    assert np.allclose(out.tokens, expected, atol=1e-12, rtol=0)
-
-
 def test_pooling_rejects_more_queries_than_stack():
     rng = np.random.default_rng(25)
     with pytest.raises(ValueError, match="only has"):
@@ -241,21 +228,19 @@ def test_dual_shape_conservation():
     assert out_v.class_token.shape == (6,)
 
 
-@pytest.mark.parametrize("pre_norm", [True, False])
-def test_dual_matches_straight_line_oracle(pre_norm):
+def test_dual_matches_straight_line_oracle():
     rng = np.random.default_rng(33)
     image, video = make_dual_inputs(rng, n=2, d=2)
     w_i = AttentionWeights.random(rng, 2, 1)
     w_v = AttentionWeights.random(rng, 2, 1)
     mlp = DualMlpWeights(image=MlpWeights.random(rng, 2, 3),
                          video=MlpWeights.random(rng, 2, 3))
-    out_i, out_v = att.dual_attention(image, video, w_i, w_v, mlp, pre_norm=pre_norm)
+    out_i, out_v = att.dual_attention(image, video, w_i, w_v, mlp)
 
     rows_i = (np.concatenate([image.tokens, image.class_token[None]]) + image.positional).tolist()
     rows_v = (np.concatenate([video.tokens, video.class_token[None]]) + video.positional).tolist()
     exp_i, exp_v = loop_dual(rows_i, rows_v, weight_lists(w_i), weight_lists(w_v),
-                             mlp_lists(mlp.image), mlp_lists(mlp.video),
-                             pre_norm, att.LN_EPS)
+                             mlp_lists(mlp.image), mlp_lists(mlp.video), att.LN_EPS)
     got_i = np.concatenate([out_i.tokens, out_i.class_token[None]])
     got_v = np.concatenate([out_v.tokens, out_v.class_token[None]])
     assert np.allclose(got_i, np.array(exp_i), atol=1e-12, rtol=0)

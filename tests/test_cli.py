@@ -6,6 +6,7 @@ import math
 import pytest
 
 from stakit import cli, formats
+from stakit.evaluation import evaluate
 
 
 def run_cli(argv, capsys):
@@ -112,6 +113,7 @@ ZONE = {"id": "a:0", "clips": ["c0"], "nouns": ["cup"], "verbs": ["take"], "visu
     ({"zones": [ZONE]}, {"visual": "abc"}, "desc", "visual"),
     ({"zones": [ZONE]}, {"visual": [1.0, 0.0, 0.0]}, "desc", "visual"),
     ({"zones": [ZONE]}, {"text": [1.0, 0.0]}, "desc", "visual"),
+    ({"zones": [ZONE]}, {"visual": [None, 1.0]}, "desc", "visual"),
 ])
 def test_afford_query_bad_input_exits_two_naming_file_and_field(tmp_path, capsys, zones_doc,
                                                                 desc_doc, bad_file, field):
@@ -253,6 +255,27 @@ def test_eval_sta_cli_perfect_scores(tmp_path, capsys):
     assert saved.params == result["params"]
 
 
+def test_eval_sta_cli_passes_iou_and_ttc_tolerance(tmp_path, capsys):
+    # img0's detection overlaps at IoU 0.43 and is 0.2 s late: a match at --iou 0.3, not at 0.5,
+    # and within the default ttc tolerance 0.25 but not within 0.1
+    dets = tmp_path / "dets.jsonl"
+    gt = tmp_path / "gt.jsonl"
+    write_jsonl(gt, [{"uid": "img0", "box": [0.0, 0.0, 10.0, 10.0], "noun": "cup", "verb": "take", "ttc": 1.0},
+                     {"uid": "img1", "box": [5.0, 5.0, 20.0, 20.0], "noun": "plate", "verb": "wash", "ttc": 0.5}])
+    write_jsonl(dets, [{"uid": "img0", "box": [4.0, 0.0, 14.0, 10.0], "noun": "cup", "verb": "take",
+                        "ttc": 1.2, "score": 0.9},
+                       {"uid": "img1", "box": [5.0, 5.0, 20.0, 20.0], "noun": "plate", "verb": "cut",
+                        "ttc": 0.5, "score": 0.8}])
+    code, out, err = run_cli(["eval", "sta", "--dets", str(dets), "--gt", str(gt),
+                              "--iou", "0.3", "--ttc-tol", "0.1"], capsys)
+    assert code == 0, err
+    loaded = formats.read_detections(dets), formats.read_ground_truth(gt)
+    expected = evaluate(*loaded, iou_threshold=0.3, ttc_tolerance=0.1).to_json()
+    assert json.loads(out) == expected
+    assert expected["maps"] != evaluate(*loaded).to_json()["maps"]
+    assert expected["params"]["iou_thresholds"] == [0.3]
+
+
 # ---------------------------------------------------------------------------
 # curate ek
 
@@ -293,6 +316,37 @@ def test_curate_ek_cli_golden_output(tmp_path, capsys):
     assert json.loads(out) == {"boxes": 6, "segments": 2, "records": 3,
                                "out": str(out_path)}
     assert out_path.read_bytes() == GOLDEN_RECORDS.encode()
+
+
+INFINITE_BOX_DET = {"uid": "img0", "box": [0.0, 0.0, math.inf, math.inf], "noun": "cup",
+                    "verb": "take", "ttc": 1.0, "score": 0.9}
+
+
+# CSV text is decoded block by block, so a byte that is not UTF-8 is reported at the file only
+@pytest.mark.parametrize("argv, files, bad_file, line", [
+    (["eval", "sta"], {"dets": json.dumps(INFINITE_BOX_DET).encode(),
+                       "gt": json.dumps({**INFINITE_BOX_DET, "box": [0.0, 0.0, 1.0, 1.0]}).encode()},
+     "dets", 1),
+    (["curate", "ek"], {"boxes": b"v01,20,plate,0,0,inf,10\n", "segments": SEGMENTS_CSV.encode()},
+     "boxes", 1),
+    (["curate", "ek"], {"boxes": BOXES_CSV.encode(),
+                        "segments": SEGMENTS_CSV.encode() + b"v01,1,2,take," + b"x" * 200_000},
+     "segments", 4),
+    (["curate", "ek"], {"boxes": BOXES_CSV.encode(), "segments": SEGMENTS_CSV.encode() + b"v01,1,2,take,\xff"},
+     "segments", None),
+], ids=["eval-infinite-box", "curate-infinite-box", "curate-oversized-cell", "curate-not-utf-8"])
+def test_unreadable_input_exits_two_naming_file_and_line(tmp_path, capsys, argv, files, bad_file, line):
+    paths = {name: tmp_path / name for name in files}
+    for name, data in files.items():
+        paths[name].write_bytes(data)
+    flags = [arg for name in files for arg in (f"--{name}", str(paths[name]))]
+    if argv[0] == "curate":
+        flags += ["--out", str(tmp_path / "records.jsonl")]
+    code, out, err = run_cli(argv + flags, capsys)
+    assert code == 2, err
+    record = json.loads(err)["error"]
+    assert record["type"] == "InputError"
+    assert (record["file"], record.get("line")) == (str(paths[bad_file]), line)
 
 
 # ---------------------------------------------------------------------------

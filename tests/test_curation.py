@@ -276,3 +276,9 @@ def test_annotation_validation():
 def test_sta_record_rejects_non_finite_or_nonpositive_ttc(bad):
     with pytest.raises(ValueError, match="finite and positive"):
         cur.STARecord("v", 1, (0.0, 0.0, 1.0, 1.0), "cup", "take", bad)
+
+
+@pytest.mark.parametrize("bad", [(0.0, 0.0, np.inf, np.inf), (-np.inf, 0.0, 1.0, 1.0), (0.0, np.nan, 1.0, 1.0)])
+def test_box_annotation_rejects_non_finite_box(bad):
+    with pytest.raises(ValueError, match="finite"):
+        BoxAnnotation("v", 1, "cup", bad)

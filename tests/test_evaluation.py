@@ -20,8 +20,8 @@ def gt(uid, box, noun, verb, ttc):
     return GroundTruth(uid=uid, box=box, noun=noun, verb=verb, ttc=ttc)
 
 
-def criteria_tuples(criteria):
-    return [(c.name, c.iou_threshold, c.require_verb, c.require_ttc, c.ttc_tolerance)
+def criteria_tuples(criteria, iou_threshold=0.5, ttc_tolerance=0.25):
+    return [(c.name, iou_threshold, c.require_verb, c.require_ttc, ttc_tolerance)
             for c in criteria]
 
 
@@ -102,19 +102,24 @@ def test_standard_criteria_names_and_conditions():
 
 
 def test_criterion_ttc_boundary_is_inclusive():
-    c = MatchCriterion("x", require_ttc=True, ttc_tolerance=0.25)
+    c = MatchCriterion("x", require_ttc=True)
     d = det("u", (0, 0, 1, 1), 0, "take", 1.25, 0.5)
     g = gt("u", (0, 0, 1, 1), 0, "take", 1.0)
-    assert c.accepts(d, g)
+    assert c.accepts(d, g, 0.25)
     d_late = det("u", (0, 0, 1, 1), 0, "take", 1.2500001, 0.5)
-    assert not c.accepts(d_late, g)
+    assert not c.accepts(d_late, g, 0.25)
 
 
 def test_criterion_validation():
-    with pytest.raises(ValueError, match="iou_threshold"):
-        MatchCriterion("x", iou_threshold=0.0)
-    with pytest.raises(ValueError, match="ttc_tolerance"):
-        MatchCriterion("x", ttc_tolerance=0.0)
+    # the IoU threshold and ttc tolerance are checked where they are set: once per evaluation
+    gts = [gt("img0", (0, 0, 10, 10), 0, "take", 1.0)]
+    dets = [det("img0", (0, 0, 10, 10), 0, "take", 1.0, 0.5)]
+    for bad in (0.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            ev.evaluate(dets, gts, iou_threshold=bad)
+    for bad in (0.0, -0.25, np.nan):
+        with pytest.raises(ValueError, match="ttc_tolerance"):
+            ev.evaluate(dets, gts, ttc_tolerance=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +220,13 @@ def test_ground_truth_rejects_non_finite_ttc(bad):
         det("img0", (0, 0, 10, 10), 0, "take", bad, 0.5)
 
 
-def test_image_uids_extends_image_set():
-    gts = [gt("img0", (0, 0, 10, 10), 0, "take", 1.0)]
-    extra = det("empty", (0, 0, 1, 1), 0, "take", 1.0, 0.99)
-    report = ev.evaluate([extra], gts, image_uids=["empty"])
-    assert report.maps["noun"] == 0.0
-    assert report.counts["images"] == 2
+@pytest.mark.parametrize("box", [(0, 0, np.inf, np.inf), (-np.inf, 0, 10, 10), (0, np.nan, 10, 10)])
+def test_ground_truth_and_detection_reject_non_finite_box(box):
+    # an infinite box has IoU NaN with everything, so it would silently never match
+    with pytest.raises(ValueError, match="finite"):
+        gt("img0", box, 0, "take", 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        det("img0", box, 0, "take", 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +268,20 @@ def as_tuples(dets, gts):
     return det_t, gt_t
 
 
-def test_evaluate_matches_brute_force_oracle():
+@pytest.mark.parametrize("iou_threshold, ttc_tolerance", [(0.5, 0.25), (0.3, 0.1)])
+def test_evaluate_matches_brute_force_oracle(iou_threshold, ttc_tolerance):
     rng = np.random.default_rng(81)
     criteria = ev.standard_criteria()
     for trial in range(40):
         dets, gts = random_instance(rng, quantize=bool(trial % 2))
-        report = ev.evaluate(dets, gts, criteria)
+        report = ev.evaluate(dets, gts, criteria, iou_threshold=iou_threshold,
+                             ttc_tolerance=ttc_tolerance)
         det_t, gt_t = as_tuples(dets, gts)
-        per_class, maps = loop_evaluate(det_t, gt_t, criteria_tuples(criteria), top_k=5)
+        per_class, maps = loop_evaluate(det_t, gt_t,
+                                        criteria_tuples(criteria, iou_threshold, ttc_tolerance), top_k=5)
         assert report.maps == maps
         assert report.per_class == per_class
+        assert report.params["iou_thresholds"] == [iou_threshold]
 
 
 def test_monotone_nesting_of_criteria():

@@ -135,6 +135,7 @@ def test_read_clips_missing_field_names_it(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("frame", "x"), ("visual", ["a"]), ("text", "words"), ("nouns", 5),
     ("frame", 2.7), ("frame", True), ("visual", 5), ("verbs", [1.5]),
+    ("visual", [None, 1.0]),
 ])
 def test_read_clips_names_unreadable_field(tmp_path, field, value):
     path = tmp_path / "clips.jsonl"
@@ -186,6 +187,7 @@ ZONE = {"id": "z0", "nouns": ["cup"], "verbs": [], "visual": [1.0, 0.0]}
     ({"zones": [ZONE], "params": [0.5, 5]}, "params"),
     ({"zones": [ZONE, {**ZONE, "id": "z1", "visual": [1.0]}]}, "zones[1].visual"),
     ({"zones": [{**ZONE, "text": [1.0, 0.0, 0.0]}]}, "zones[0].text"),
+    ({"zones": [{**ZONE, "text": [None, 0.0]}]}, "zones[0].text"),
 ])
 def test_zone_db_names_malformed_field(tmp_path, doc, field):
     path = tmp_path / "zones.json"
@@ -198,6 +200,7 @@ def test_zone_db_names_malformed_field(tmp_path, doc, field):
 @pytest.mark.parametrize("doc, match", [
     ({"visual": "abc"}, "could not convert"), ({"visual": [1.0, 0.0, 0.0]}, "expected 2 entries"),
     ({"visual": [[1.0, 0.0]]}, "list of numbers"), ({"text": [1.0, 0.0]}, "missing"),
+    ({"visual": [float("inf"), 0.0]}, "finite"),
 ])
 def test_read_descriptor_names_visual(tmp_path, doc, match):
     path = tmp_path / "query.json"
