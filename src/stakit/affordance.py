@@ -7,16 +7,21 @@ every zone already open for that video, joins the best zone when the
 mean similarity clears a threshold, and founds a new zone otherwise.
 
 A query descriptor retrieves the top-K zones on a visual channel and a
-text channel; the union of both top-K lists (2K entries, duplicates kept)
-votes an exponential prior over a label vocabulary, which can then be
-fused multiplicatively with a model's predicted distribution.
+text channel from a ZoneIndex, which holds the database's descriptors as
+one matrix per channel; the union of both top-K lists (2K entries,
+duplicates kept) votes an exponential prior over a label vocabulary,
+which can then be fused multiplicatively with a model's predicted
+distribution.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .hotspot import Detection
 
 __all__ = [
     "DEFAULT_K",
@@ -25,6 +30,7 @@ __all__ = [
     "DEFAULT_RECENT",
     "ClipRecord",
     "Zone",
+    "ZoneIndex",
     "KnnEntry",
     "KnnResult",
     "CategoricalDistribution",
@@ -42,6 +48,9 @@ DEFAULT_K = 4
 DEFAULT_WEIGHTED = True
 DEFAULT_THETA = 0.5
 DEFAULT_RECENT = 5
+# A zone whose screened score lies within this of the k-th is rescored exactly.
+# The screen's rounding error is about d * 1e-16, far below it.
+_SCREEN_MARGIN = 1e-9
 
 
 @dataclass
@@ -67,6 +76,65 @@ class Zone:
     verbs: set
     visual: np.ndarray
     text: np.ndarray | None
+
+
+class ZoneIndex(Sequence):
+    """A zone database as queried: its zones plus one descriptor matrix per channel.
+
+    Row i of ``visual`` and of ``text``, (n, d) float64 matrices, holds zone
+    i's descriptor, and a zone without text has a zero text row.  Both
+    matrices are read-only, and each zone's ``visual`` and ``text`` are
+    views of its rows, so no descriptor is held twice.  The row norms and
+    the id -> zone map are kept too, so a query recomputes neither.
+    """
+
+    def __init__(self, zones: Iterable[Zone]):
+        """Index copies of zones; the zones given keep their own descriptors."""
+        zones = [replace(z) for z in zones]
+        d = len(zones[0].visual) if zones else 0
+        visual, text = np.zeros((len(zones), d)), np.zeros((len(zones), d))
+        for i, zone in enumerate(zones):
+            for rows, desc in ((visual, zone.visual), (text, zone.text)):
+                if desc is None:  # no text: the zero row stays
+                    continue
+                desc = np.asarray(desc, dtype=np.float64)
+                if desc.shape != (d,):
+                    raise ValueError(f"zone {zone.zone_id!r}: descriptor length mismatch: "
+                                     f"{desc.shape} vs {(d,)}")
+                rows[i] = desc
+        self._adopt(zones, visual, text)
+
+    @classmethod
+    def from_rows(cls, zones: list[Zone], visual: np.ndarray, text: np.ndarray) -> "ZoneIndex":
+        """Index zones whose descriptors were written into the rows of visual and text."""
+        index = cls.__new__(cls)
+        index._adopt(zones, visual, text)
+        return index
+
+    def _adopt(self, zones: list[Zone], visual: np.ndarray, text: np.ndarray) -> None:
+        visual.flags.writeable = text.flags.writeable = False
+        for i, zone in enumerate(zones):  # views taken after the freeze are read-only too
+            zone.visual = visual[i]
+            if zone.text is not None:
+                zone.text = text[i]
+        self._zones = tuple(zones)
+        self.visual, self.text = visual, text
+        self.visual_norms = np.sqrt(np.einsum("ij,ij->i", visual, visual))
+        self.text_norms = np.sqrt(np.einsum("ij,ij->i", text, text))
+        self.by_id = {z.zone_id: z for z in self._zones}
+
+    def __len__(self) -> int:
+        return len(self._zones)
+
+    def __getitem__(self, i):
+        return self._zones[i]
+
+    def __iter__(self):
+        return iter(self._zones)
+
+
+def _indexed(zones: Iterable[Zone]) -> ZoneIndex:
+    return zones if isinstance(zones, ZoneIndex) else ZoneIndex(zones)
 
 
 @dataclass(frozen=True)
@@ -236,32 +304,46 @@ def build_zones(clips: list[ClipRecord], same_zone, theta: float = DEFAULT_THETA
     return zones
 
 
-def knn_query(query: np.ndarray, zones: list[Zone], k: int = DEFAULT_K) -> KnnResult:
+def knn_query(query: np.ndarray, zones: Iterable[Zone], k: int = DEFAULT_K) -> KnnResult:
     """Top-K zones by cosine on the visual and text channels.
 
-    Zones without a text descriptor score 0 on the text channel, matching
-    the zero-norm convention.  Ties break toward the earlier zone in the
+    zones is a ZoneIndex; any other sequence of zones is indexed first.
+    On each channel one matrix-vector product screens every zone, and the
+    zones screened within a fixed margin of the k-th score are rescored
+    with cosine_similarity, so the similarities reported are exactly those
+    of cosine_similarity whatever order the product sums in.  Zones
+    without a text descriptor score 0 on the text channel, matching the
+    zero-norm convention.  Ties break toward the earlier zone in the
     database, keeping results deterministic.
     """
-    if not zones:
+    index = _indexed(zones)
+    if not index:
         raise ValueError("knn_query needs a nonempty zone database")
-    if not 1 <= k <= len(zones):
-        raise ValueError(f"k must lie in [1, {len(zones)}], got {k}")
+    if not 1 <= k <= len(index):
+        raise ValueError(f"k must lie in [1, {len(index)}], got {k}")
     query = np.asarray(query, dtype=np.float64)
+    if query.shape != index.visual.shape[1:]:
+        raise ValueError(f"descriptor length mismatch: {query.shape} vs {index.visual.shape[1:]}")
+    query_norm = float(np.sqrt(np.dot(query, query)))
     entries: list[KnnEntry] = []
-    for channel in ("visual", "text"):
+    for channel, rows, norms in (("visual", index.visual, index.visual_norms),
+                                 ("text", index.text, index.text_norms)):
+        denominators = norms * query_norm
+        screened = np.divide(rows @ query, denominators, out=np.zeros(len(index)),
+                             where=denominators != 0.0)
+        floor = np.partition(screened, len(index) - k)[len(index) - k] - _SCREEN_MARGIN
         scored = []
-        for idx, zone in enumerate(zones):
-            desc = zone.visual if channel == "visual" else zone.text
+        for idx in np.flatnonzero(~(screened < floor)).tolist():  # NaN scores are rescored too
+            desc = getattr(index[idx], channel)
             sim = cosine_similarity(query, desc) if desc is not None else 0.0
             scored.append((-sim, idx))
         scored.sort()
         for neg_sim, idx in scored[:k]:
-            entries.append(KnnEntry(zone_id=zones[idx].zone_id, similarity=-neg_sim, channel=channel))
+            entries.append(KnnEntry(zone_id=index[idx].zone_id, similarity=-neg_sim, channel=channel))
     return KnnResult(k=k, entries=entries)
 
 
-def affordance_distribution(knn: KnnResult, zones: list[Zone], vocabulary: list,
+def affordance_distribution(knn: KnnResult, zones: Iterable[Zone], vocabulary: list,
                             kind: str = "noun", weighted: bool = DEFAULT_WEIGHTED) -> CategoricalDistribution:
     """Exponential label prior voted by the retrieved zones.
 
@@ -274,7 +356,7 @@ def affordance_distribution(knn: KnnResult, zones: list[Zone], vocabulary: list,
         raise ValueError(f"kind must be 'noun' or 'verb', got {kind!r}")
     if not vocabulary:
         raise ValueError("vocabulary must be nonempty")
-    by_id = {z.zone_id: z for z in zones}
+    by_id = _indexed(zones).by_id
     exponents = np.zeros(len(vocabulary))
     index = {label: i for i, label in enumerate(vocabulary)}
     for entry in knn.entries:
@@ -322,10 +404,13 @@ def apply_affordance_to_detections(detections, prior_nouns: CategoricalDistribut
             raise ValueError(f"detection {det.uid!r} is missing label probability vectors")
         fused_nouns = fuse_distributions(prior_nouns, CategoricalDistribution.from_scores(det.noun_probs))
         fused_verbs = fuse_distributions(prior_verbs, CategoricalDistribution.from_scores(det.verb_probs))
-        refined.append(replace(
-            det,
+        refined.append(Detection(
+            uid=det.uid,
+            box=det.box,
             noun=int(np.argmax(fused_nouns.p)),
             verb=int(np.argmax(fused_verbs.p)),
+            ttc=det.ttc,
+            score=det.score,
             noun_probs=fused_nouns.p,
             verb_probs=fused_verbs.p,
         ))

@@ -214,9 +214,12 @@ def curate(boxes: list[BoxAnnotation], segments: list[ActionSegment], *,
            gap: int = DEFAULT_GAP, fps: float = 30.0, split: str = "train") -> list[STARecord]:
     """Full pipeline; output sorted by (video, frame, noun) for stable files."""
     tracks = drop_ambiguous_tracks(build_tracks(boxes, gap), boxes)
+    candidates: dict = {}  # (video, noun) -> its segments, in input order
+    for seg in segments:
+        candidates.setdefault((seg.video_id, seg.noun), []).append(seg)
     records: list[STARecord] = []
     for track in tracks:
-        matched = match_track_to_segment(track, segments)
+        matched = match_track_to_segment(track, candidates.get((track.video_id, track.noun), []))
         if matched.segment is None:
             continue
         cut = truncate_track(matched)

@@ -14,7 +14,7 @@ import numpy as np
 from . import formats
 from .affordance import (DEFAULT_K, DEFAULT_RECENT, DEFAULT_THETA, DEFAULT_WEIGHTED,
                          affordance_distribution, apply_affordance_to_detections, build_zones,
-                         descriptor_similarity_01, knn_query, ClipRecord)
+                         descriptor_similarity_01, knn_query, ClipRecord, ZoneIndex)
 from .evaluation import GroundTruth, evaluate, standard_criteria
 from .hotspot import Detection, reweight, synth_gaussian_map
 
@@ -115,7 +115,7 @@ def run_synth_demo(seed: int, out_dir, *, k: int = DEFAULT_K, weighted: bool = D
     rng = np.random.default_rng(seed)
 
     clips = _synth_clips(rng, N_VIDEOS, CLIPS_PER_VIDEO)
-    zones = build_zones(clips, descriptor_similarity_01, theta, DEFAULT_RECENT)
+    zones = ZoneIndex(build_zones(clips, descriptor_similarity_01, theta, DEFAULT_RECENT))
 
     all_gts: list[GroundTruth] = []
     raw_dets: list[Detection] = []

@@ -13,11 +13,12 @@ import itertools
 import json
 import math
 import reprlib
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
-from .affordance import CategoricalDistribution, ClipRecord, Zone
+from .affordance import CategoricalDistribution, ClipRecord, Zone, ZoneIndex
 from .attention import AttentionWeights, MlpWeights
 from .curation import ActionSegment, BoxAnnotation, STARecord
 from .evaluation import EvalReport, GroundTruth
@@ -309,7 +310,7 @@ def write_clips(path, clips: list[ClipRecord]) -> None:
     _write_lines(path, dicts)
 
 
-def write_zone_db(path, zones: list[Zone], noun_vocab: list, verb_vocab: list,
+def write_zone_db(path, zones: Iterable[Zone], noun_vocab: list, verb_vocab: list,
                   theta: float, recent: int) -> None:
     doc = {
         "zones": [
@@ -341,16 +342,28 @@ def _zone(z, length: int | None) -> Zone:
     )
 
 
-def _zone_db(obj) -> tuple[list[Zone], list, list, dict]:
-    zones = []
-    for i, z in enumerate(_convert(obj, "zones", _list, default=[])):
-        zones.append(_at(_zone, z, len(zones[0].visual) if zones else None, field=f"zones[{i}]"))
-    return (zones, _convert(obj, "noun_vocab", _labels, default=[]),
+def _zone_db(obj) -> tuple[ZoneIndex, list, list, dict]:
+    entries = _convert(obj, "zones", _list, default=[])
+    zones, visual, text = [], np.zeros((0, 0)), np.zeros((0, 0))
+    for i, z in enumerate(entries):
+        zone = _at(_zone, z, visual.shape[1] if zones else None, field=f"zones[{i}]")
+        if not zones:  # zone 0's visual sets the width of both matrices
+            shape = (len(entries), len(zone.visual))
+            visual, text = np.zeros(shape), np.zeros(shape)
+        # each descriptor moves into its row at once, so the parsed vector is not held beside it
+        visual[i] = zone.visual
+        zone.visual = visual[i]
+        if zone.text is not None:
+            text[i] = zone.text
+            zone.text = text[i]
+        zones.append(zone)
+    return (ZoneIndex.from_rows(zones, visual, text), _convert(obj, "noun_vocab", _labels, default=[]),
             _convert(obj, "verb_vocab", _labels, default=[]),
             dict(_convert(obj, "params", _object, default={})))
 
 
-def read_zone_db(path) -> tuple[list[Zone], list, list, dict]:
+def read_zone_db(path) -> tuple[ZoneIndex, list, list, dict]:
+    """The zones as a ZoneIndex, their descriptors parsed into its rows; the vocabularies; params."""
     return _at(_zone_db, read_json(path), path=str(path))
 
 

@@ -10,7 +10,7 @@ across images.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,7 +128,16 @@ def reweight(detections, maps: dict[str, HotspotMap], *, bilinear: bool = False)
         if hmap is None:
             raise ValueError(f"no hotspot map for image {det.uid!r}")
         cx, cy = det.center
-        out.append(replace(det, score=det.score * sample_at(hmap, cx, cy, bilinear=bilinear)))
+        out.append(Detection(
+            uid=det.uid,
+            box=det.box,
+            noun=det.noun,
+            verb=det.verb,
+            ttc=det.ttc,
+            score=det.score * sample_at(hmap, cx, cy, bilinear=bilinear),
+            noun_probs=det.noun_probs,
+            verb_probs=det.verb_probs,
+        ))
     return out
 
 

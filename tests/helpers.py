@@ -128,7 +128,7 @@ def loop_conv3x3(grid, kernel):
 
 
 # ---------------------------------------------------------------------------
-# affordance voting
+# affordance voting and retrieval
 
 
 def vote_prior(entries, labels_by_zone, vocabulary, weighted):
@@ -146,6 +146,26 @@ def vote_prior(entries, labels_by_zone, vocabulary, weighted):
         probs.append(math.exp(exponent))
     total = sum(probs)
     return [p / total for p in probs]
+
+
+def loop_knn(query, zones, k, similarity):
+    """Top-k (zone_id, similarity, channel) per channel, visual first, by scanning every zone.
+
+    similarity(query, descriptor) scores one zone; a zone whose descriptor
+    is None scores 0.  Each channel sorts (-similarity, zone position), so
+    ties go to the earlier zone.  Passing the package's cosine_similarity
+    makes this the per-zone loop that retrieval must agree with exactly.
+    """
+    out = []
+    for channel in ("visual", "text"):
+        scored = []
+        for idx, zone in enumerate(zones):
+            desc = getattr(zone, channel)
+            sim = similarity(query, desc) if desc is not None else 0.0
+            scored.append((-sim, idx))
+        scored.sort()
+        out.extend((zones[idx].zone_id, -neg_sim, channel) for neg_sim, idx in scored[:k])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stakit import affordance as aff
 from stakit.affordance import (
@@ -15,7 +17,7 @@ from stakit.affordance import (
 )
 from stakit.hotspot import Detection
 
-from helpers import vote_prior
+from helpers import loop_knn, vote_prior
 
 
 def clip(cid, visual, video="v", nouns=(), verbs=(), text=None, frame=0):
@@ -216,6 +218,113 @@ def test_knn_validates_k_and_db():
         aff.knn_query(np.array([1.0]), zones, k=0)
     with pytest.raises(ValueError, match="nonempty"):
         aff.knn_query(np.array([1.0]), [], k=1)
+
+
+def test_knn_rejects_query_of_another_length():
+    with pytest.raises(ValueError, match="descriptor length mismatch"):
+        aff.knn_query(np.array([1.0, 0.0, 0.0]), [zone("z0", [1.0, 0.0])], k=1)
+
+
+def random_zone_db(rng, n, d):
+    """Zones with planted exact ties: duplicates, power-of-two multiples
+    (the same cosine to the last bit), small-integer descriptors, zones
+    without text and all-zero descriptors."""
+    zones = []
+    for i in range(n):
+        roll = int(rng.integers(6)) if zones else 0
+        source = zones[int(rng.integers(len(zones)))] if zones else None
+        if roll == 1:
+            visual, text = source.visual, source.text
+        elif roll == 2:
+            scale = 2.0 ** int(rng.integers(-3, 4))
+            visual, text = scale * source.visual, None if source.text is None else scale * source.text
+        elif roll == 3:
+            visual, text = rng.integers(-1, 2, size=d), rng.integers(-1, 2, size=d)
+        elif roll == 4:
+            visual, text = rng.normal(size=d), None
+        elif roll == 5:
+            visual, text = np.zeros(d), np.zeros(d)
+        else:
+            visual, text = rng.normal(size=d), rng.normal(size=d)
+        zones.append(zone(f"z{i}", visual, text=text))
+    return zones
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       query_kind=st.sampled_from(["normal", "integer", "zone", "zero"]), data=st.data())
+def test_knn_equals_the_per_zone_loop_exactly(n, d, seed, query_kind, data):
+    rng = np.random.default_rng(seed)
+    zones = random_zone_db(rng, n, d)
+    query = {"normal": lambda: rng.normal(size=d),
+             "integer": lambda: rng.integers(-1, 2, size=d).astype(np.float64),
+             "zone": lambda: zones[int(rng.integers(n))].visual.copy(),
+             "zero": lambda: np.zeros(d)}[query_kind]()
+    k = data.draw(st.integers(1, n), label="k")
+    want = loop_knn(query, zones, k, aff.cosine_similarity)
+    for db in (zones, aff.ZoneIndex(zones)):
+        got = aff.knn_query(query, db, k)
+        assert [(e.zone_id, e.similarity, e.channel) for e in got.entries] == want
+
+
+def test_knn_orders_zones_a_rounding_error_apart_as_the_loop_does():
+    # the screen's product sums in another order than cosine_similarity, so it may
+    # swap zones whose cosines differ in the last bits; the rescoring must undo that
+    rng = np.random.default_rng(5)
+    eps = np.finfo(np.float64).eps
+    for _ in range(300):
+        base, query, k = rng.normal(size=64), rng.normal(size=64), int(rng.integers(1, 4))
+        zones = [zone(f"z{j}", base * (1 + eps * rng.integers(-2, 3, size=64))) for j in range(6)]
+        got = aff.knn_query(query, zones, k)
+        assert ([(e.zone_id, e.similarity, e.channel) for e in got.entries]
+                == loop_knn(query, zones, k, aff.cosine_similarity))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_knn_rescores_zones_whose_screened_score_is_nan(k):
+    zones = [zone("z0", [1.0, 0.0]), zone("z1", [np.nan, 1.0]), zone("z2", [0.5, 0.5])]
+    got = aff.knn_query(np.array([1.0, 0.2]), zones, k)
+    want = loop_knn(np.array([1.0, 0.2]), zones, k, aff.cosine_similarity)
+    assert [(e.zone_id, e.channel) for e in got.entries] == [(z, c) for z, _, c in want]
+
+
+def test_knn_rescores_only_the_screened_top_k(monkeypatch):
+    rng = np.random.default_rng(4000)
+    n, d, k = 4000, 64, aff.DEFAULT_K
+    index = aff.ZoneIndex(zone(f"z{i}", rng.normal(size=d), text=rng.normal(size=d)) for i in range(n))
+    query = rng.normal(size=d)
+    near_ties = 0  # zones past the k-th that lie within twice the screen's margin of it
+    for rows in (index.visual, index.text):
+        sims = np.sort(rows @ query / (np.linalg.norm(rows, axis=1) * np.linalg.norm(query)))[::-1]
+        near_ties += int(np.sum(sims[k:] >= sims[k - 1] - 2e-9))
+    cosine, calls = aff.cosine_similarity, []
+    monkeypatch.setattr(aff, "cosine_similarity", lambda a, b: calls.append(1) or cosine(a, b))
+    result = aff.knn_query(query, index, k)
+    assert 2 * k <= len(calls) <= 2 * k + near_ties
+    assert [(e.zone_id, e.similarity, e.channel) for e in result.entries] == loop_knn(query, index, k, cosine)
+
+
+def test_zone_index_descriptors_are_read_only_rows():
+    zones = [zone("z0", [1.0, 0.0], text=[0.0, 1.0]), zone("z1", [0.5, 0.5])]
+    index = aff.ZoneIndex(zones)
+    assert not index.visual.flags.writeable and not index.text.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        index.visual[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        index[0].text[0] = 2.0
+    assert np.shares_memory(index[0].visual, index.visual) and np.shares_memory(index[0].text, index.text)
+    assert index[1].text is None and index.text[1].tolist() == [0.0, 0.0]
+    assert index.visual_norms.tolist() == [1.0, math.sqrt(0.5)] and index.text_norms.tolist() == [1.0, 0.0]
+    assert index.by_id["z1"] is index[1]
+    zones[0].visual[0] = 3.0  # the zones given keep their own, writable descriptors
+    assert index.visual[0, 0] == 1.0
+
+
+def test_zone_index_rejects_descriptors_of_different_lengths():
+    with pytest.raises(ValueError, match="'z1': descriptor length mismatch"):
+        aff.ZoneIndex([zone("z0", [1.0, 0.0]), zone("z1", [1.0])])
+    with pytest.raises(ValueError, match="'z0': descriptor length mismatch"):
+        aff.ZoneIndex([zone("z0", [1.0, 0.0], text=[1.0])])
 
 
 def test_knn_result_validation():

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from stakit import cli, formats
+import stakit
+from stakit import cli, demo, formats
 from stakit.evaluation import evaluate
 
 
@@ -99,6 +104,24 @@ def test_afford_query_rejects_oversized_k(tmp_path, capsys):
     record = json.loads(err)["error"]
     assert record["type"] == "ValueError"
     assert "k must lie in" in record["message"]
+
+
+def test_afford_query_prints_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    demo.run_synth_demo(7, tmp_path)
+    zones = json.loads((tmp_path / "zones.json").read_text())["zones"]
+    query_path = tmp_path / "query.json"
+    query_path.write_text(json.dumps({"visual": [0.5 * v + 0.1 for v in zones[0]["visual"]]}))
+    src = str(Path(stakit.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from stakit.cli import main; sys.exit(main())",
+             "afford", "query", "--zones", str(tmp_path / "zones.json"), "--desc", str(query_path),
+             "--k", "2"], env=env, capture_output=True, check=True)
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["knn"] and outputs[0] == outputs[1]
 
 
 ZONE = {"id": "a:0", "clips": ["c0"], "nouns": ["cup"], "verbs": ["take"], "visual": [1.0, 0.0]}

@@ -248,6 +248,29 @@ def test_curate_fuzz_all_ttc_positive_and_deterministic():
         assert records == again
 
 
+def test_curate_matches_each_track_against_every_segment():
+    # curate hands each track only its (video, noun) segments; the result must be
+    # that of scanning all of them, with ties on start going to the earlier segment
+    rng = np.random.default_rng(91)
+    boxes, segments = [], []
+    for v in range(3):
+        for noun in ("cup", "plate", "pan"):
+            for frame in rng.choice(200, size=6, replace=False):
+                boxes.append(box(f"v{v}", int(frame), noun))
+            for _ in range(4):
+                start = int(rng.choice([40, 80, 120, 160, 210]))
+                segments.append(seg(f"v{v}", start, start + 5, str(rng.choice(["take", "wash", "cut"])), noun))
+    rng.shuffle(segments)
+    expected = []
+    for track in cur.drop_ambiguous_tracks(cur.build_tracks(boxes), boxes):
+        matched = cur.match_track_to_segment(track, segments)
+        cut = cur.truncate_track(matched) if matched.segment is not None else None
+        expected.extend(cur.emit_sta_records(cut, 30.0) if cut is not None else [])
+    expected.sort(key=lambda r: (r.video_id, r.frame, str(r.noun)))
+    assert len({(s.video_id, s.noun, s.start) for s in segments}) < len(segments)  # ties are planted
+    assert expected and cur.curate(boxes, segments) == expected
+
+
 def test_curate_records_only_cover_input_frames():
     boxes, segments = golden_input()
     records = cur.curate(boxes, segments)

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stakit import formats as fm
-from stakit.affordance import CategoricalDistribution, ClipRecord, Zone, build_zones, descriptor_similarity_01
+from stakit.affordance import (CategoricalDistribution, ClipRecord, Zone, ZoneIndex, build_zones,
+                               descriptor_similarity_01, knn_query)
 from stakit.attention import AttentionWeights, MlpWeights
 from stakit.curation import STARecord
 from stakit.evaluation import GroundTruth, evaluate
@@ -195,6 +196,28 @@ def test_zone_db_names_malformed_field(tmp_path, doc, field):
     with pytest.raises(fm.InputError) as info:
         fm.read_zone_db(path)
     assert (info.value.path, info.value.field) == (str(path), field)
+
+
+def test_zone_db_loads_into_read_only_index_rows(tmp_path):
+    path = tmp_path / "zones.json"
+    path.write_text(json.dumps({"zones": [ZONE, {**ZONE, "id": "z1", "visual": [0.0, 3.0], "text": [0.0, 2.0]}]}))
+    index, _, _, _ = fm.read_zone_db(path)
+    assert isinstance(index, ZoneIndex) and [z.zone_id for z in index] == ["z0", "z1"]
+    assert index.visual.tolist() == [[1.0, 0.0], [0.0, 3.0]]
+    assert index.text.tolist() == [[0.0, 0.0], [0.0, 2.0]] and index[0].text is None
+    assert not index.visual.flags.writeable and not index.text.flags.writeable
+    for rows, desc in ((index.visual, index[0].visual), (index.visual, index[1].visual), (index.text, index[1].text)):
+        assert np.shares_memory(desc, rows) and not desc.flags.writeable
+
+
+@pytest.mark.parametrize("doc", [{"zones": []}, {}])
+def test_zone_db_without_zones_loads_but_cannot_be_queried(tmp_path, doc):
+    path = tmp_path / "zones.json"
+    path.write_text(json.dumps(doc))
+    index, _, _, _ = fm.read_zone_db(path)
+    assert len(index) == 0 and list(index) == []
+    with pytest.raises(ValueError, match="nonempty"):
+        knn_query(np.array([1.0]), index, 1)
 
 
 @pytest.mark.parametrize("doc, match", [
