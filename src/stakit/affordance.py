@@ -133,10 +133,6 @@ class ZoneIndex(Sequence):
         return iter(self._zones)
 
 
-def _indexed(zones: Iterable[Zone]) -> ZoneIndex:
-    return zones if isinstance(zones, ZoneIndex) else ZoneIndex(zones)
-
-
 @dataclass(frozen=True)
 class KnnEntry:
     zone_id: str
@@ -304,10 +300,9 @@ def build_zones(clips: list[ClipRecord], same_zone, theta: float = DEFAULT_THETA
     return zones
 
 
-def knn_query(query: np.ndarray, zones: Iterable[Zone], k: int = DEFAULT_K) -> KnnResult:
-    """Top-K zones by cosine on the visual and text channels.
+def knn_query(query: np.ndarray, index: ZoneIndex, k: int = DEFAULT_K) -> KnnResult:
+    """Top-K zones of index by cosine on the visual and text channels.
 
-    zones is a ZoneIndex; any other sequence of zones is indexed first.
     On each channel one matrix-vector product screens every zone, and the
     zones screened within a fixed margin of the k-th score are rescored
     with cosine_similarity, so the similarities reported are exactly those
@@ -316,7 +311,6 @@ def knn_query(query: np.ndarray, zones: Iterable[Zone], k: int = DEFAULT_K) -> K
     zero-norm convention.  Ties break toward the earlier zone in the
     database, keeping results deterministic.
     """
-    index = _indexed(zones)
     if not index:
         raise ValueError("knn_query needs a nonempty zone database")
     if not 1 <= k <= len(index):
@@ -343,7 +337,7 @@ def knn_query(query: np.ndarray, zones: Iterable[Zone], k: int = DEFAULT_K) -> K
     return KnnResult(k=k, entries=entries)
 
 
-def affordance_distribution(knn: KnnResult, zones: Iterable[Zone], vocabulary: list,
+def affordance_distribution(knn: KnnResult, zones: ZoneIndex, vocabulary: list,
                             kind: str = "noun", weighted: bool = DEFAULT_WEIGHTED) -> CategoricalDistribution:
     """Exponential label prior voted by the retrieved zones.
 
@@ -356,11 +350,10 @@ def affordance_distribution(knn: KnnResult, zones: Iterable[Zone], vocabulary: l
         raise ValueError(f"kind must be 'noun' or 'verb', got {kind!r}")
     if not vocabulary:
         raise ValueError("vocabulary must be nonempty")
-    by_id = _indexed(zones).by_id
     exponents = np.zeros(len(vocabulary))
     index = {label: i for i, label in enumerate(vocabulary)}
     for entry in knn.entries:
-        zone = by_id.get(entry.zone_id)
+        zone = zones.by_id.get(entry.zone_id)
         if zone is None:
             raise ValueError(f"knn entry references unknown zone {entry.zone_id!r}")
         labels = zone.nouns if kind == "noun" else zone.verbs

@@ -3,7 +3,9 @@
 Writers emit keys in a fixed order and floats through json's shortest
 round-trip repr, so writing, reading and writing again reproduces the
 file byte for byte.  Readers pass each field through one converter that
-names the field when it fails, and the record loops add file and line.
+names the field when it fails.  JSON-lines and CSV files go through one
+record loop that streams the file line by line as UTF-8, so memory holds
+one line plus the records built, and adds file and line to any failure.
 """
 
 from __future__ import annotations
@@ -157,6 +159,14 @@ def _vector(value, length: int | None = None) -> np.ndarray:
     return v
 
 
+def _descriptor(value, length: int | None = None) -> np.ndarray:
+    """A vector whose squared norm, which retrieval computes, fits in float64 too."""
+    v = _vector(value, length)
+    if not math.isfinite(np.vdot(v, v)):  # vdot, unlike dot, overflows without a RuntimeWarning
+        raise ValueError(f"squared norm overflows float64, got {reprlib.repr(value)}")
+    return v
+
+
 def _box(value) -> tuple:
     if not isinstance(value, list) or len(value) != 4:
         raise ValueError(f"box must be [x1, y1, x2, y2], got {reprlib.repr(value)}")
@@ -259,19 +269,39 @@ def distribution_from_json(obj: dict, *, path=None) -> CategoricalDistribution:
 
 
 # --------------------------------------------------------------------------
-# JSON-lines helpers
+# record files: JSON lines and CSV
 
 
-def _read_jsonl(path, build) -> list:
-    """build(record) for each record of a JSON-lines file; a failure is reported at its line."""
-    out = []
-    for line_no, line in enumerate(_at(Path.read_text, Path(path), path=str(path)).splitlines(), start=1):
-        if line.strip():
-            try:
-                out.append(build(json.loads(line)))
-            except _BAD_VALUE as exc:
-                raise _located(exc, path=str(path), line=line_no)
-    return out
+def _records(path, build, columns: int | None = None):
+    """Yield build(record) per record of a JSON-lines file or, given columns, a CSV file.
+
+    The file is read line by line as UTF-8; lines end at \\n, \\r\\n or \\r.
+    Blank lines are skipped, and so is a CSV first row whose column 2 is
+    no number (a header).  A failure is reported at its line, except text
+    that is not UTF-8, which is reported at the file.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = fh if columns is None else csv.reader(fh)
+        line = 0
+        try:
+            for record in rows:
+                line = line + 1 if columns is None else rows.line_num
+                if columns is None:
+                    if record.strip():
+                        yield build(json.loads(record))
+                elif "".join(record).strip():
+                    if len(record) != columns:
+                        raise ValueError(f"expected {columns} columns, got {len(record)}")
+                    if line == 1:
+                        try:
+                            float(record[1])
+                        except ValueError:
+                            continue  # header row
+                    yield build(record)
+        except UnicodeDecodeError as exc:  # text is decoded block by block, so its position is no line
+            raise InputError(f"not {exc.encoding} text: {exc.reason}", path=str(path)) from None
+        except (*_BAD_VALUE, csv.Error) as exc:  # a csv.Error comes while a row is split, before line is set
+            raise _located(exc, path=str(path), line=line if columns is None else rows.line_num)
 
 
 def _write_lines(path, dicts) -> None:
@@ -284,15 +314,15 @@ def _write_lines(path, dicts) -> None:
 
 
 def read_clips(path) -> list[ClipRecord]:
-    return _read_jsonl(path, lambda obj: ClipRecord(
+    return list(_records(path, lambda obj: ClipRecord(
         clip_id=str(_require(obj, "clip")),
-        visual=_convert(obj, "visual", _vector),
-        text=_convert(obj, "text", _vector, default=None),
+        visual=_convert(obj, "visual", _descriptor),
+        text=_convert(obj, "text", _descriptor, default=None),
         nouns=frozenset(_convert(obj, "nouns", _labels)),
         verbs=frozenset(_convert(obj, "verbs", _labels)),
         video_id=str(_require(obj, "video")),
         frame_index=_convert(obj, "frame", _int, default=0),
-    ))
+    )))
 
 
 def write_clips(path, clips: list[ClipRecord]) -> None:
@@ -337,8 +367,8 @@ def _zone(z, length: int | None) -> Zone:
         clip_ids=[str(c) for c in _convert(z, "clips", _labels, default=[])],
         nouns=set(_convert(z, "nouns", _labels)),
         verbs=set(_convert(z, "verbs", _labels)),
-        visual=(visual := _convert(z, "visual", _vector, length)),
-        text=_convert(z, "text", _vector, len(visual), default=None),
+        visual=(visual := _convert(z, "visual", _descriptor, length)),
+        text=_convert(z, "text", _descriptor, len(visual), default=None),
     )
 
 
@@ -369,7 +399,7 @@ def read_zone_db(path) -> tuple[ZoneIndex, list, list, dict]:
 
 def read_descriptor(path, length: int | None = None) -> np.ndarray:
     """The "visual" vector of a query file, holding length entries when given."""
-    return _at(_convert, read_json(path), "visual", _vector, length, path=str(path))
+    return _at(_convert, read_json(path), "visual", _descriptor, length, path=str(path))
 
 
 # --------------------------------------------------------------------------
@@ -393,7 +423,7 @@ def _detection_dict(d: Detection) -> dict:
 
 
 def read_detections(path) -> list[Detection]:
-    return _read_jsonl(path, lambda obj: Detection(
+    return list(_records(path, lambda obj: Detection(
         uid=str(_require(obj, "uid")),
         box=_convert(obj, "box", _box),
         noun=_convert(obj, "noun", _label),
@@ -402,7 +432,7 @@ def read_detections(path) -> list[Detection]:
         score=_convert(obj, "score", float),
         noun_probs=_convert(obj, "noun_probs", _vector, default=None),
         verb_probs=_convert(obj, "verb_probs", _vector, default=None),
-    ))
+    )))
 
 
 def write_detections(path, dets: list[Detection]) -> None:
@@ -410,13 +440,13 @@ def write_detections(path, dets: list[Detection]) -> None:
 
 
 def read_ground_truth(path) -> list[GroundTruth]:
-    return _read_jsonl(path, lambda obj: GroundTruth(
+    return list(_records(path, lambda obj: GroundTruth(
         uid=str(_require(obj, "uid")),
         box=_convert(obj, "box", _box),
         noun=_convert(obj, "noun", _label),
         verb=_convert(obj, "verb", _label),
         ttc=_convert(obj, "ttc", float),
-    ))
+    )))
 
 
 def write_ground_truth(path, gts: list[GroundTruth]) -> None:
@@ -430,17 +460,19 @@ def write_ground_truth(path, gts: list[GroundTruth]) -> None:
     _write_lines(path, dicts)
 
 
+def _hotspot_map(obj, maps: dict) -> HotspotMap:
+    """One line's map, whose uid must not be among maps, those of the lines before."""
+    uid = str(_require(obj, "uid"))
+    if uid in maps:
+        raise InputError(f"duplicate hotspot map for image {uid!r}", field="uid")
+    h, w = _convert(obj, "h", _int), _convert(obj, "w", _int)
+    return _convert(obj, "p", lambda p: HotspotMap(uid, _vector(p, h * w).reshape(h, w)))
+
+
 def read_hotspot_maps(path) -> dict[str, HotspotMap]:
     maps: dict[str, HotspotMap] = {}
-
-    def add(obj) -> None:
-        uid = str(_require(obj, "uid"))
-        if uid in maps:
-            raise InputError(f"duplicate hotspot map for image {uid!r}", field="uid")
-        h, w = _convert(obj, "h", _int), _convert(obj, "w", _int)
-        maps[uid] = _convert(obj, "p", lambda p: HotspotMap(uid, _vector(p, h * w).reshape(h, w)))
-
-    _read_jsonl(path, add)
+    for hotspot in _records(path, lambda obj: _hotspot_map(obj, maps)):
+        maps[hotspot.uid] = hotspot
     return maps
 
 
@@ -476,53 +508,25 @@ def write_sta_records(path, records: list[STARecord]) -> None:
 # CSV annotations
 
 
-def _read_csv(path, columns: int, build) -> list:
-    """build(row) per row, skipping blank rows and a first row whose column 2 is no number.
-
-    Splitting (an oversized cell) and building fail at the row's line;
-    decoding fails at the file, as the text is decoded block by block.
-    """
-    out = []
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        try:
-            for row in rows:
-                if not "".join(row).strip():
-                    continue
-                if len(row) != columns:
-                    raise ValueError(f"expected {columns} columns, got {len(row)}")
-                if rows.line_num == 1:
-                    try:
-                        float(row[1])
-                    except ValueError:
-                        continue  # header row
-                out.append(build(row))
-        except UnicodeDecodeError as exc:  # its position counts from the start of a block, not the file
-            raise InputError(f"not {exc.encoding} text: {exc.reason}", path=str(path)) from None
-        except (*_BAD_VALUE, csv.Error) as exc:
-            raise _located(exc, path=str(path), line=rows.line_num)
-    return out
-
-
 def read_boxes_csv(path) -> list[BoxAnnotation]:
     """Columns: video_id, frame, noun, x1, y1, x2, y2."""
-    return _read_csv(path, 7, lambda row: BoxAnnotation(
+    return list(_records(path, lambda row: BoxAnnotation(
         video_id=row[0].strip(),
         frame=int(row[1]),
         noun=row[2].strip(),
         box=(float(row[3]), float(row[4]), float(row[5]), float(row[6])),
-    ))
+    ), columns=7))
 
 
 def read_segments_csv(path) -> list[ActionSegment]:
     """Columns: video_id, start, stop, verb, noun."""
-    return _read_csv(path, 5, lambda row: ActionSegment(
+    return list(_records(path, lambda row: ActionSegment(
         video_id=row[0].strip(),
         start=int(row[1]),
         stop=int(row[2]),
         verb=row[3].strip(),
         noun=row[4].strip(),
-    ))
+    ), columns=5))
 
 
 # --------------------------------------------------------------------------

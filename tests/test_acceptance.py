@@ -16,7 +16,7 @@ from stakit import evaluation as ev
 from stakit import formats
 from stakit import hotspot as hs
 from stakit.affordance import (DEFAULT_K, DEFAULT_WEIGHTED, CategoricalDistribution,
-                               ClipRecord, KnnEntry, KnnResult, Zone,
+                               ClipRecord, KnnEntry, KnnResult, Zone, ZoneIndex,
                                affordance_distribution, build_zones, fuse_distributions)
 from stakit.attention import (GRAD_CHECK_OPS, AttentionWeights, DualMlpWeights,
                               MlpWeights, TokenBundle, grad_check, random_instance)
@@ -139,7 +139,7 @@ def test_criterion_03_affordance_prior_oracle():
         entries += [KnnEntry(ids[k + i], float(sims[k + i]), "text") for i in range(k)]
         knn = KnnResult(k=k, entries=entries)
         weighted = bool(rng.integers(2))
-        dist = affordance_distribution(knn, zones, vocab, weighted=weighted)
+        dist = affordance_distribution(knn, ZoneIndex(zones), vocab, weighted=weighted)
         expected = vote_prior([(e.zone_id, e.similarity) for e in entries],
                               {z.zone_id: z.nouns for z in zones}, vocab, weighted)
         assert np.max(np.abs(dist.p - np.array(expected))) <= 1e-12
@@ -151,7 +151,7 @@ def test_criterion_03_affordance_prior_oracle():
                   np.array([0.0, 1.0]), None)]
     knn = KnnResult(k=1, entries=[KnnEntry("Z1", 0.8, "visual"),
                                   KnnEntry("Z2", 0.5, "text")])
-    dist = affordance_distribution(knn, zones, ["knife", "plate", "cup"])
+    dist = affordance_distribution(knn, ZoneIndex(zones), ["knife", "plate", "cup"])
     for got, want in zip(dist.p, (0.3228, 0.5322, 0.1450)):
         assert abs(got - want) < 1e-4
 

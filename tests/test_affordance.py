@@ -171,14 +171,14 @@ def test_build_zones_empty_input():
 
 def test_knn_single_zone_k1():
     z = zone("z0", [1.0, 0.0], text=[0.0, 1.0])
-    result = aff.knn_query(np.array([1.0, 1.0]), [z], k=1)
+    result = aff.knn_query(np.array([1.0, 1.0]), aff.ZoneIndex([z]), k=1)
     assert len(result.entries) == 2
     assert all(e.zone_id == "z0" for e in result.entries)
     assert {e.channel for e in result.entries} == {"visual", "text"}
 
 
 def test_knn_self_similarity_tops_visual_channel():
-    zones = [zone("z0", [1.0, 0.0]), zone("z1", [0.6, 0.8])]
+    zones = aff.ZoneIndex([zone("z0", [1.0, 0.0]), zone("z1", [0.6, 0.8])])
     result = aff.knn_query(np.array([0.6, 0.8]), zones, k=1)
     visual = [e for e in result.entries if e.channel == "visual"][0]
     assert visual.zone_id == "z1"
@@ -186,7 +186,7 @@ def test_knn_self_similarity_tops_visual_channel():
 
 
 def test_knn_hand_cosine_ranking():
-    zones = [zone("z0", [1.0, 0.0]), zone("z1", [1.0, 1.0]), zone("z2", [0.0, 1.0])]
+    zones = aff.ZoneIndex([zone("z0", [1.0, 0.0]), zone("z1", [1.0, 1.0]), zone("z2", [0.0, 1.0])])
     result = aff.knn_query(np.array([1.0, 0.0]), zones, k=2)
     visual = [e for e in result.entries if e.channel == "visual"]
     assert [e.zone_id for e in visual] == ["z0", "z1"]
@@ -195,7 +195,7 @@ def test_knn_hand_cosine_ranking():
 
 
 def test_knn_missing_text_scores_zero():
-    zones = [zone("z0", [1.0, 0.0]), zone("z1", [0.0, 1.0], text=[-1.0, 0.0])]
+    zones = aff.ZoneIndex([zone("z0", [1.0, 0.0]), zone("z1", [0.0, 1.0], text=[-1.0, 0.0])])
     result = aff.knn_query(np.array([1.0, 0.0]), zones, k=1)
     text = [e for e in result.entries if e.channel == "text"][0]
     # z0 has no text (sim 0); z1's text points away (sim -1); 0 wins
@@ -204,25 +204,25 @@ def test_knn_missing_text_scores_zero():
 
 
 def test_knn_ties_break_toward_earlier_zone():
-    zones = [zone("z0", [1.0, 0.0]), zone("z1", [1.0, 0.0])]
+    zones = aff.ZoneIndex([zone("z0", [1.0, 0.0]), zone("z1", [1.0, 0.0])])
     result = aff.knn_query(np.array([1.0, 0.0]), zones, k=1)
     visual = [e for e in result.entries if e.channel == "visual"][0]
     assert visual.zone_id == "z0"
 
 
 def test_knn_validates_k_and_db():
-    zones = [zone("z0", [1.0])]
+    zones = aff.ZoneIndex([zone("z0", [1.0])])
     with pytest.raises(ValueError, match="k must lie"):
         aff.knn_query(np.array([1.0]), zones, k=2)
     with pytest.raises(ValueError, match="k must lie"):
         aff.knn_query(np.array([1.0]), zones, k=0)
     with pytest.raises(ValueError, match="nonempty"):
-        aff.knn_query(np.array([1.0]), [], k=1)
+        aff.knn_query(np.array([1.0]), aff.ZoneIndex([]), k=1)
 
 
 def test_knn_rejects_query_of_another_length():
     with pytest.raises(ValueError, match="descriptor length mismatch"):
-        aff.knn_query(np.array([1.0, 0.0, 0.0]), [zone("z0", [1.0, 0.0])], k=1)
+        aff.knn_query(np.array([1.0, 0.0, 0.0]), aff.ZoneIndex([zone("z0", [1.0, 0.0])]), k=1)
 
 
 def random_zone_db(rng, n, d):
@@ -262,9 +262,8 @@ def test_knn_equals_the_per_zone_loop_exactly(n, d, seed, query_kind, data):
              "zero": lambda: np.zeros(d)}[query_kind]()
     k = data.draw(st.integers(1, n), label="k")
     want = loop_knn(query, zones, k, aff.cosine_similarity)
-    for db in (zones, aff.ZoneIndex(zones)):
-        got = aff.knn_query(query, db, k)
-        assert [(e.zone_id, e.similarity, e.channel) for e in got.entries] == want
+    got = aff.knn_query(query, aff.ZoneIndex(zones), k)
+    assert [(e.zone_id, e.similarity, e.channel) for e in got.entries] == want
 
 
 def test_knn_orders_zones_a_rounding_error_apart_as_the_loop_does():
@@ -275,7 +274,7 @@ def test_knn_orders_zones_a_rounding_error_apart_as_the_loop_does():
     for _ in range(300):
         base, query, k = rng.normal(size=64), rng.normal(size=64), int(rng.integers(1, 4))
         zones = [zone(f"z{j}", base * (1 + eps * rng.integers(-2, 3, size=64))) for j in range(6)]
-        got = aff.knn_query(query, zones, k)
+        got = aff.knn_query(query, aff.ZoneIndex(zones), k)
         assert ([(e.zone_id, e.similarity, e.channel) for e in got.entries]
                 == loop_knn(query, zones, k, aff.cosine_similarity))
 
@@ -283,7 +282,7 @@ def test_knn_orders_zones_a_rounding_error_apart_as_the_loop_does():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_knn_rescores_zones_whose_screened_score_is_nan(k):
     zones = [zone("z0", [1.0, 0.0]), zone("z1", [np.nan, 1.0]), zone("z2", [0.5, 0.5])]
-    got = aff.knn_query(np.array([1.0, 0.2]), zones, k)
+    got = aff.knn_query(np.array([1.0, 0.2]), aff.ZoneIndex(zones), k)
     want = loop_knn(np.array([1.0, 0.2]), zones, k, aff.cosine_similarity)
     assert [(e.zone_id, e.channel) for e in got.entries] == [(z, c) for z, _, c in want]
 
@@ -340,8 +339,8 @@ def test_knn_result_validation():
 
 
 def knife_plate_fixture():
-    zones = [zone("Z1", [1.0], nouns={"knife", "plate"}),
-             zone("Z2", [1.0], nouns={"plate"})]
+    zones = aff.ZoneIndex([zone("Z1", [1.0], nouns={"knife", "plate"}),
+                           zone("Z2", [1.0], nouns={"plate"})])
     knn = KnnResult(k=1, entries=[KnnEntry("Z1", 0.8, "visual"),
                                   KnnEntry("Z2", 0.5, "text")])
     return knn, zones, ["knife", "plate", "cup"]
@@ -366,26 +365,26 @@ def test_affordance_distribution_unweighted_votes_count_once_each():
 
 
 def test_affordance_distribution_empty_knn_is_uniform():
-    dist = aff.affordance_distribution(KnnResult(k=0, entries=[]), [], ["a", "b", "c"])
+    dist = aff.affordance_distribution(KnnResult(k=0, entries=[]), aff.ZoneIndex([]), ["a", "b", "c"])
     assert np.allclose(dist.p, 1.0 / 3.0, atol=1e-15)
 
 
 def test_affordance_distribution_symmetric_votes_are_uniform():
-    zones = [zone("z0", [1.0], nouns={"a", "b"}), zone("z1", [1.0], nouns={"a", "b"})]
+    zones = aff.ZoneIndex([zone("z0", [1.0], nouns={"a", "b"}), zone("z1", [1.0], nouns={"a", "b"})])
     knn = KnnResult(k=1, entries=[KnnEntry("z0", 0.7, "visual"), KnnEntry("z1", 0.7, "text")])
     dist = aff.affordance_distribution(knn, zones, ["a", "b"])
     assert np.allclose(dist.p, 0.5, atol=1e-12)
 
 
 def test_affordance_distribution_verbs_channel():
-    zones = [zone("z0", [1.0], verbs={"cut"})]
+    zones = aff.ZoneIndex([zone("z0", [1.0], verbs={"cut"})])
     knn = KnnResult(k=1, entries=[KnnEntry("z0", 1.0, "visual"), KnnEntry("z0", 1.0, "text")])
     dist = aff.affordance_distribution(knn, zones, ["cut", "wash"], kind="verb")
     assert dist.p[0] > dist.p[1]
 
 
 def test_affordance_distribution_ignores_labels_outside_vocabulary():
-    zones = [zone("z0", [1.0], nouns={"seen", "unseen"})]
+    zones = aff.ZoneIndex([zone("z0", [1.0], nouns={"seen", "unseen"})])
     knn = KnnResult(k=1, entries=[KnnEntry("z0", 0.9, "visual"), KnnEntry("z0", 0.4, "text")])
     dist = aff.affordance_distribution(knn, zones, ["seen", "other"])
     expected = vote_prior([("z0", 0.9), ("z0", 0.4)], {"z0": {"seen"}}, ["seen", "other"], True)
@@ -394,7 +393,7 @@ def test_affordance_distribution_ignores_labels_outside_vocabulary():
 
 def test_affordance_distribution_monotone_in_votes():
     # an extra vote for a label can only raise its probability
-    zones = [zone("z0", [1.0], nouns={"a"}), zone("z1", [1.0], nouns={"a", "b"})]
+    zones = aff.ZoneIndex([zone("z0", [1.0], nouns={"a"}), zone("z1", [1.0], nouns={"a", "b"})])
     weak = KnnResult(k=1, entries=[KnnEntry("z1", 0.3, "visual"), KnnEntry("z1", 0.3, "text")])
     strong = KnnResult(k=1, entries=[KnnEntry("z0", 0.9, "visual"), KnnEntry("z1", 0.3, "text")])
     p_weak = aff.affordance_distribution(weak, zones, ["a", "b"]).p
@@ -422,7 +421,7 @@ def test_affordance_distribution_matches_brute_force_on_random_dbs():
                    + sorted(entries[k:], key=lambda e: -e.similarity))
         knn = KnnResult(k=k, entries=entries)
         weighted = bool(rng.integers(2))
-        dist = aff.affordance_distribution(knn, zones, vocab, weighted=weighted)
+        dist = aff.affordance_distribution(knn, aff.ZoneIndex(zones), vocab, weighted=weighted)
         expected = vote_prior([(e.zone_id, e.similarity) for e in entries],
                               {z.zone_id: z.nouns for z in zones}, vocab, weighted)
         assert np.allclose(dist.p, expected, atol=1e-12, rtol=0)

@@ -24,6 +24,15 @@ def write_jsonl(path, rows):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
+def run_cli_process(argv, **env):
+    """stdout of the CLI run in a fresh interpreter, with env added to its environment."""
+    src = str(Path(stakit.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", "import sys; from stakit.cli import main; sys.exit(main())",
+                           *argv], env=env, capture_output=True, check=True).stdout
+
+
 # ---------------------------------------------------------------------------
 # zones build -> afford query
 
@@ -111,16 +120,9 @@ def test_afford_query_prints_the_same_bytes_at_any_blas_thread_count(tmp_path):
     zones = json.loads((tmp_path / "zones.json").read_text())["zones"]
     query_path = tmp_path / "query.json"
     query_path.write_text(json.dumps({"visual": [0.5 * v + 0.1 for v in zones[0]["visual"]]}))
-    src = str(Path(stakit.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from stakit.cli import main; sys.exit(main())",
-             "afford", "query", "--zones", str(tmp_path / "zones.json"), "--desc", str(query_path),
-             "--k", "2"], env=env, capture_output=True, check=True)
-        outputs.append(proc.stdout)
+    outputs = [run_cli_process(["afford", "query", "--zones", str(tmp_path / "zones.json"),
+                                "--desc", str(query_path), "--k", "2"], OPENBLAS_NUM_THREADS=threads)
+               for threads in ("1", "2")]
     assert json.loads(outputs[0])["knn"] and outputs[0] == outputs[1]
 
 
@@ -137,6 +139,9 @@ ZONE = {"id": "a:0", "clips": ["c0"], "nouns": ["cup"], "verbs": ["take"], "visu
     ({"zones": [ZONE]}, {"visual": [1.0, 0.0, 0.0]}, "desc", "visual"),
     ({"zones": [ZONE]}, {"text": [1.0, 0.0]}, "desc", "visual"),
     ({"zones": [ZONE]}, {"visual": [None, 1.0]}, "desc", "visual"),
+    ({"zones": [{**ZONE, "visual": [1e200, 1.0]}]}, {"visual": [1e200, 0.0]}, "zones", "zones[0].visual"),
+    ({"zones": [{**ZONE, "text": [1e200, 0.0]}]}, {"visual": [1.0, 0.0]}, "zones", "zones[0].text"),
+    ({"zones": [ZONE]}, {"visual": [1e200, 0.0]}, "desc", "visual"),
 ])
 def test_afford_query_bad_input_exits_two_naming_file_and_field(tmp_path, capsys, zones_doc,
                                                                 desc_doc, bad_file, field):
@@ -414,6 +419,16 @@ def test_demo_synth_is_deterministic(tmp_path, capsys):
 
     result = json.loads(out_a)
     assert set(result["maps"]) == {"noun", "noun_verb", "noun_ttc", "overall"}
+
+
+def test_demo_synth_is_identical_across_processes_with_other_hash_seeds(tmp_path):
+    runs = []
+    for hash_seed in ("0", "12345"):
+        out_dir = tmp_path / f"hash-seed-{hash_seed}"
+        stdout = run_cli_process(["demo", "synth", "--seed", "7", "--out", str(out_dir)],
+                                 PYTHONHASHSEED=hash_seed)
+        runs.append((stdout, {name: (out_dir / name).read_bytes() for name in demo_artifacts(out_dir)}))
+    assert "report.json" in runs[0][1] and runs[0] == runs[1]
 
 
 def test_demo_synth_reweight_first_order(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_read_clips_missing_field_names_it(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("frame", "x"), ("visual", ["a"]), ("text", "words"), ("nouns", 5),
     ("frame", 2.7), ("frame", True), ("visual", 5), ("verbs", [1.5]),
-    ("visual", [None, 1.0]),
+    ("visual", [None, 1.0]), ("visual", [1e200, 1.0]), ("text", [1e200, 0.0]),
 ])
 def test_read_clips_names_unreadable_field(tmp_path, field, value):
     path = tmp_path / "clips.jsonl"
@@ -189,6 +190,8 @@ ZONE = {"id": "z0", "nouns": ["cup"], "verbs": [], "visual": [1.0, 0.0]}
     ({"zones": [ZONE, {**ZONE, "id": "z1", "visual": [1.0]}]}, "zones[1].visual"),
     ({"zones": [{**ZONE, "text": [1.0, 0.0, 0.0]}]}, "zones[0].text"),
     ({"zones": [{**ZONE, "text": [None, 0.0]}]}, "zones[0].text"),
+    ({"zones": [{**ZONE, "visual": [1e200, 1.0]}]}, "zones[0].visual"),
+    ({"zones": [{**ZONE, "text": [1e200, 0.0]}]}, "zones[0].text"),
 ])
 def test_zone_db_names_malformed_field(tmp_path, doc, field):
     path = tmp_path / "zones.json"
@@ -223,7 +226,7 @@ def test_zone_db_without_zones_loads_but_cannot_be_queried(tmp_path, doc):
 @pytest.mark.parametrize("doc, match", [
     ({"visual": "abc"}, "could not convert"), ({"visual": [1.0, 0.0, 0.0]}, "expected 2 entries"),
     ({"visual": [[1.0, 0.0]]}, "list of numbers"), ({"text": [1.0, 0.0]}, "missing"),
-    ({"visual": [float("inf"), 0.0]}, "finite"),
+    ({"visual": [float("inf"), 0.0]}, "finite"), ({"visual": [1e200, 0.0]}, "squared norm overflows"),
 ])
 def test_read_descriptor_names_visual(tmp_path, doc, match):
     path = tmp_path / "query.json"
@@ -345,7 +348,8 @@ def test_hotspot_maps_name_unreadable_field(tmp_path, field, value):
     assert (info.value.path, info.value.line, info.value.field) == (str(path), 2, field)
 
 
-# a file that is not UTF-8 fails as a whole, before any line is parsed
+# text is decoded block by block, so a byte that is not UTF-8 is reported at the file only,
+# after the lines of the blocks before it may have been parsed
 @pytest.mark.parametrize("bad_line, line", [(b"[" * 100_000 + b"]" * 100_000, 2),
                                             (b'{"uid": "\xff"}', None)],
                          ids=["too-deeply-nested", "not-utf-8"])
@@ -356,6 +360,43 @@ def test_jsonl_unparseable_line_is_located(tmp_path, bad_line, line):
     with pytest.raises(fm.InputError) as info:
         fm.read_detections(path)
     assert (info.value.path, info.value.line) == (str(path), line)
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\x85"], ids=["line-separator", "next-line"])
+def test_jsonl_lines_end_only_at_newlines(tmp_path, char):
+    path = tmp_path / "dets.jsonl"
+    det = {"uid": f"img{char}0", "box": [0, 0, 1, 1], "noun": 0, "verb": 0, "ttc": 1.0, "score": 0.5}
+    path.write_text(json.dumps(det, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert [d.uid for d in fm.read_detections(path)] == [f"img{char}0"]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_record_files_split_at_crlf_and_cr_and_locate_record_3(tmp_path, newline):
+    det = json.dumps({"uid": "u", "box": [0, 0, 1, 1], "noun": 0, "verb": 0, "ttc": 1.0, "score": 0.5})
+    files = [(fm.read_detections, tmp_path / "dets.jsonl", [det, det], det.replace('"ttc": 1.0', '"ttc": "x"')),
+             (fm.read_segments_csv, tmp_path / "segments.csv", ["v01,50,80,take,plate"] * 2, "v01,x,80,take,plate")]
+    for read, path, lines, bad in files:
+        path.write_bytes(newline.join(lines + [""]).encode())
+        assert len(read(path)) == 2
+        path.write_bytes(newline.join(lines + [bad, ""]).encode())
+        with pytest.raises(fm.InputError) as info:
+            read(path)
+        assert (info.value.path, info.value.line) == (str(path), 3)
+
+
+def test_read_hotspot_maps_peak_memory_stays_below_the_file_size(tmp_path):
+    rng = np.random.default_rng(8)
+    grids = rng.random((100, 24, 32))
+    path = tmp_path / "maps.jsonl"
+    fm.write_hotspot_maps(path, [HotspotMap(f"img{i:03d}", g / g.sum()) for i, g in enumerate(grids)])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert len(fm.read_hotspot_maps(path)) == 100
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_sta_record_uid_format():
