@@ -3,7 +3,7 @@
 Modules:
 
 * ``linalg``: dense float64 kernels (matmul, softmax, layer norm,
-  bilinear resize) with deterministic reduction order.
+  bilinear resize) whose bits do not depend on operand layout.
 * ``attention``: residual cross-attention operators with analytic
   backward passes and finite-difference gradient checking.
 * ``affordance``: interaction-zone database, top-K retrieval, label

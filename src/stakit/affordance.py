@@ -51,6 +51,8 @@ DEFAULT_RECENT = 5
 # A zone whose screened score lies within this of the k-th is rescored exactly.
 # The screen's rounding error is about d * 1e-16, far below it.
 _SCREEN_MARGIN = 1e-9
+# How far a probability vector's sum may lie from 1.
+_SUM_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -178,7 +180,7 @@ class CategoricalDistribution:
         if np.any(self.p < 0):
             raise ValueError("probabilities must be nonnegative")
         total = float(self.p.sum())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > _SUM_TOLERANCE:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
 
     @classmethod
@@ -383,28 +385,57 @@ def fuse_distributions(prior: CategoricalDistribution,
     return CategoricalDistribution(size=prior.size, p=product / total)
 
 
+def _fused_rows(prior: CategoricalDistribution, vectors: list) -> np.ndarray | None:
+    """from_scores then fuse_distributions with prior on each vector, in one array pass.
+
+    The vectors are stacked into one matrix, and each row is normalised,
+    multiplied by the prior and renormalised, which gives the bits of the
+    two functions on that vector alone.  Returns None when any vector
+    would fail one of their checks.
+    """
+    try:
+        scores = np.array(vectors, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if scores.shape != (len(vectors), prior.size):
+        return None
+    with np.errstate(all="ignore"):  # a faulty row fails a check below; its warnings are not reported
+        p = scores / scores.sum(axis=1, keepdims=True)
+        product = prior.p * p
+        fused = product / product.sum(axis=1, keepdims=True)
+    # These two stand for every check: NaN fails scores >= 0, and an infinite
+    # score, a zero or overflowing total or a zero mass leaves a row of NaNs
+    # or zeros, whose sum is not 1.  Rows that pass hold entries in [0, 1].
+    if (scores >= 0).all() and (np.abs(fused.sum(axis=1) - 1.0) <= _SUM_TOLERANCE).all():
+        return fused
+    return None
+
+
 def apply_affordance_to_detections(detections, prior_nouns: CategoricalDistribution,
                                    prior_verbs: CategoricalDistribution) -> list:
     """Fuse label priors into each detection's probability vectors.
 
-    Noun and verb ids must be indices into the respective vocabularies.
-    The reported labels become the argmax of the fused vectors; boxes,
-    times and scores pass through untouched.
+    Each detection's vectors become fuse_distributions(prior,
+    CategoricalDistribution.from_scores(vector)), computed for all
+    detections at once.  Noun and verb ids must be indices into the
+    respective vocabularies.  The reported labels become the argmax of the
+    fused vectors; boxes, times and scores pass through untouched.  If any
+    detection fails a check, the error of the earliest one is raised.
     """
-    refined = []
-    for det in detections:
-        if det.noun_probs is None or det.verb_probs is None:
-            raise ValueError(f"detection {det.uid!r} is missing label probability vectors")
-        fused_nouns = fuse_distributions(prior_nouns, CategoricalDistribution.from_scores(det.noun_probs))
-        fused_verbs = fuse_distributions(prior_verbs, CategoricalDistribution.from_scores(det.verb_probs))
-        refined.append(Detection(
-            uid=det.uid,
-            box=det.box,
-            noun=int(np.argmax(fused_nouns.p)),
-            verb=int(np.argmax(fused_verbs.p)),
-            ttc=det.ttc,
-            score=det.score,
-            noun_probs=fused_nouns.p,
-            verb_probs=fused_verbs.p,
-        ))
-    return refined
+    detections = list(detections)
+    if not detections:
+        return []
+    nouns = _fused_rows(prior_nouns, [det.noun_probs for det in detections])
+    verbs = _fused_rows(prior_verbs, [det.verb_probs for det in detections])
+    if nouns is None or verbs is None:
+        # the scalar checks, in the order a detection is fused, raise the earliest fault
+        for det in detections:
+            if det.noun_probs is None or det.verb_probs is None:
+                raise ValueError(f"detection {det.uid!r} is missing label probability vectors")
+            fuse_distributions(prior_nouns, CategoricalDistribution.from_scores(det.noun_probs))
+            fuse_distributions(prior_verbs, CategoricalDistribution.from_scores(det.verb_probs))
+        raise AssertionError("the array pass rejected detections that pass every check")
+    return [Detection(uid=det.uid, box=det.box, noun=noun, verb=verb, ttc=det.ttc, score=det.score,
+                      noun_probs=noun_probs, verb_probs=verb_probs)
+            for det, noun, verb, noun_probs, verb_probs
+            in zip(detections, nouns.argmax(axis=1).tolist(), verbs.argmax(axis=1).tolist(), nouns, verbs)]

@@ -273,12 +273,12 @@ _GELU_A = 0.044715
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    u = _GELU_C * (x + _GELU_A * x ** 3)
+    u = _GELU_C * (x + _GELU_A * (x * x * x))
     return 0.5 * x * (1.0 + np.tanh(u))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    u = _GELU_C * (x + _GELU_A * x ** 3)
+    u = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(u)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
 

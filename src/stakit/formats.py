@@ -305,8 +305,10 @@ def _records(path, build, columns: int | None = None):
 
 
 def _write_lines(path, dicts) -> None:
-    text = "".join(json.dumps(d) + "\n" for d in dicts)
-    Path(path).write_text(text)
+    """Write one JSON line per dict, each as soon as it is built."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in dicts:
+            fh.write(json.dumps(d) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -326,18 +328,15 @@ def read_clips(path) -> list[ClipRecord]:
 
 
 def write_clips(path, clips: list[ClipRecord]) -> None:
-    dicts = []
-    for c in clips:
-        dicts.append({
-            "clip": c.clip_id,
-            "video": c.video_id,
-            "frame": c.frame_index,
-            "visual": _float_list(c.visual),
-            "text": None if c.text is None else _float_list(c.text),
-            "nouns": sorted(c.nouns, key=str),
-            "verbs": sorted(c.verbs, key=str),
-        })
-    _write_lines(path, dicts)
+    _write_lines(path, ({
+        "clip": c.clip_id,
+        "video": c.video_id,
+        "frame": c.frame_index,
+        "visual": _float_list(c.visual),
+        "text": None if c.text is None else _float_list(c.text),
+        "nouns": sorted(c.nouns, key=str),
+        "verbs": sorted(c.verbs, key=str),
+    } for c in clips))
 
 
 def write_zone_db(path, zones: Iterable[Zone], noun_vocab: list, verb_vocab: list,
@@ -436,7 +435,7 @@ def read_detections(path) -> list[Detection]:
 
 
 def write_detections(path, dets: list[Detection]) -> None:
-    _write_lines(path, [_detection_dict(d) for d in dets])
+    _write_lines(path, (_detection_dict(d) for d in dets))
 
 
 def read_ground_truth(path) -> list[GroundTruth]:
@@ -450,14 +449,13 @@ def read_ground_truth(path) -> list[GroundTruth]:
 
 
 def write_ground_truth(path, gts: list[GroundTruth]) -> None:
-    dicts = [{
+    _write_lines(path, ({
         "uid": g.uid,
         "box": [float(v) for v in g.box],
         "noun": g.noun,
         "verb": g.verb,
         "ttc": float(g.ttc),
-    } for g in gts]
-    _write_lines(path, dicts)
+    } for g in gts))
 
 
 def _hotspot_map(obj, maps: dict) -> HotspotMap:
@@ -478,8 +476,7 @@ def read_hotspot_maps(path) -> dict[str, HotspotMap]:
 
 def write_hotspot_maps(path, maps) -> None:
     items = maps.values() if isinstance(maps, dict) else maps
-    dicts = [{"uid": m.uid, "h": m.h, "w": m.w, "p": _float_list(m.p)} for m in items]
-    _write_lines(path, dicts)
+    _write_lines(path, ({"uid": m.uid, "h": m.h, "w": m.w, "p": _float_list(m.p)} for m in items))
 
 
 # --------------------------------------------------------------------------
@@ -491,7 +488,7 @@ def sta_record_uid(r: STARecord) -> str:
 
 
 def write_sta_records(path, records: list[STARecord]) -> None:
-    dicts = [{
+    _write_lines(path, ({
         "uid": sta_record_uid(r),
         "video": r.video_id,
         "frame": r.frame,
@@ -500,8 +497,7 @@ def write_sta_records(path, records: list[STARecord]) -> None:
         "verb": r.verb,
         "ttc": float(r.ttc),
         "split": r.split,
-    } for r in records]
-    _write_lines(path, dicts)
+    } for r in records))
 
 
 # --------------------------------------------------------------------------

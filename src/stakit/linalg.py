@@ -2,9 +2,10 @@
 
 Conventions: a "matrix" is a 2-D float64 ndarray (rows x cols, row-major),
 a "grid" is a 3-D float64 ndarray (height x width x channels).  All kernels
-are pure functions, inputs are never mutated.  Reductions run in a fixed
-order (the contraction index ascends) so repeated runs on the same machine
-produce identical bits; golden tests rely on that.
+are pure functions, inputs are never mutated.  Every kernel gives the same
+bits for the same values and shapes on one install, whatever the memory
+layout of its operands; golden tests rely on that.  matmul, the one kernel
+that calls the BLAS, states how far that holds across BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -42,11 +43,18 @@ def as_grid(values) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check.
+    """Matrix product with an explicit shape check, computed by the linked BLAS.
 
-    einsum with optimize=False accumulates over the shared index in
-    ascending order, keeping the summation order independent of which
-    BLAS the interpreter happens to link.
+    Both operands are copied to C order first, so the BLAS sees one layout
+    for each pair of shapes: the same values and shapes give the same bits
+    on one install whatever the operands' strides or offsets (a transposed
+    view, Fortran order or a column slice would otherwise take another
+    kernel).  The products that attention makes give the same bits at one
+    and two BLAS threads too; a larger product that the BLAS splits among
+    threads may not (OpenBLAS 0.3.31 rounds a 64x64 by 64x300 product
+    differently at 1 and 2 threads).  Results are not row-independent: a
+    one-row product takes a matrix-vector kernel, so a row computed alone
+    can differ in its last bit from the same row inside a larger product.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -54,7 +62,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return np.einsum("ik,kj->ij", a, b, optimize=False)
+    return np.ascontiguousarray(a) @ np.ascontiguousarray(b)
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ only allowed import from the package is nothing at all.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 # ---------------------------------------------------------------------------
@@ -165,6 +166,26 @@ def loop_knn(query, zones, k, similarity):
             scored.append((-sim, idx))
         scored.sort()
         out.extend((zones[idx].zone_id, -neg_sim, channel) for neg_sim, idx in scored[:k])
+    return out
+
+
+def loop_apply_affordance(detections, prior_nouns, prior_verbs, from_scores, fuse):
+    """Fuse label priors into detections one detection at a time.
+
+    Each detection's noun and verb vectors become fuse(prior,
+    from_scores(vector)) and its labels their argmax.  Passing the
+    package's CategoricalDistribution.from_scores and fuse_distributions
+    makes this the per-detection loop whose bits and first error the
+    array pass must reproduce.
+    """
+    out = []
+    for det in detections:
+        if det.noun_probs is None or det.verb_probs is None:
+            raise ValueError(f"detection {det.uid!r} is missing label probability vectors")
+        nouns = fuse(prior_nouns, from_scores(det.noun_probs)).p
+        verbs = fuse(prior_verbs, from_scores(det.verb_probs)).p
+        out.append(dataclasses.replace(det, noun=int(nouns.argmax()), verb=int(verbs.argmax()),
+                                       noun_probs=nouns, verb_probs=verbs))
     return out
 
 

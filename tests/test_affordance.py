@@ -17,7 +17,7 @@ from stakit.affordance import (
 )
 from stakit.hotspot import Detection
 
-from helpers import loop_knn, vote_prior
+from helpers import loop_apply_affordance, loop_knn, vote_prior
 
 
 def clip(cid, visual, video="v", nouns=(), verbs=(), text=None, frame=0):
@@ -557,6 +557,85 @@ def test_apply_affordance_requires_probability_vectors():
     with pytest.raises(ValueError, match="missing label probability"):
         aff.apply_affordance_to_detections(
             [det], CategoricalDistribution.uniform(1), CategoricalDistribution.uniform(1))
+
+
+def _loop_fusion(detections, prior_nouns, prior_verbs):
+    return loop_apply_affordance(detections, prior_nouns, prior_verbs,
+                                 CategoricalDistribution.from_scores, aff.fuse_distributions)
+
+
+def _random_prior(rng, size):
+    return CategoricalDistribution.from_scores(rng.random(size) ** 3 * (rng.random(size) > 0.2) + 1e-3)
+
+
+def _random_dets(rng, count, nouns, verbs):
+    """Unnormalised score vectors with zeros, as detectors emit them."""
+    return [Detection(uid=f"img{i}", box=(0.0, 0.0, 10.0, 10.0), noun=0, verb=0, ttc=1.0, score=0.9,
+                      noun_probs=rng.random(nouns) ** 4 * (rng.random(nouns) > 0.3) + (np.arange(nouns) == 0),
+                      verb_probs=rng.random(verbs) * 10.0 ** rng.integers(-3, 4)) for i in range(count)]
+
+
+def test_apply_affordance_equals_the_per_detection_loop_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for nouns, verbs in ((1, 1), (3, 2), (9, 8), (128, 81), (300, 129)):
+        prior_nouns, prior_verbs = _random_prior(rng, nouns), _random_prior(rng, verbs)
+        for count in (0, 1, 2, 8, 17):
+            dets = _random_dets(rng, count, nouns, verbs)
+            got = aff.apply_affordance_to_detections(iter(dets), prior_nouns, prior_verbs)
+            want = _loop_fusion(dets, prior_nouns, prior_verbs)
+            assert len(got) == len(want) == count
+            for g, w in zip(got, want):
+                assert (g.uid, g.box, g.noun, g.verb, g.ttc, g.score) == (w.uid, w.box, w.noun, w.verb, w.ttc, w.score)
+                assert g.noun_probs.tobytes() == w.noun_probs.tobytes()
+                assert g.verb_probs.tobytes() == w.verb_probs.tobytes()
+
+
+# one fault in a detection's noun or verb vector (priors of 4 nouns and 3 verbs)
+FUSION_FAULTS = {
+    "missing": lambda v: None,
+    "nan": lambda v: np.where(np.arange(len(v)) == 1, np.nan, v),
+    "inf": lambda v: np.where(np.arange(len(v)) == 1, np.inf, v),
+    "overflowing-sum": lambda v: np.full_like(v, 1e308),
+    "negative": lambda v: np.where(np.arange(len(v)) == 0, -0.25, v),
+    "zero-sum": lambda v: np.zeros_like(v),
+    "disjoint": lambda v: (np.arange(len(v)) == len(v) - 1).astype(float),  # the prior is 0 there
+    "size": lambda v: np.append(v, 0.5),
+}
+
+
+def _fault_error(call):
+    with pytest.raises(ValueError) as caught:
+        call()
+    return str(caught.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # from_scores on the overflowing sum
+@pytest.mark.parametrize("fault", sorted(FUSION_FAULTS))
+@pytest.mark.parametrize("channel", ["noun", "verb"])
+def test_apply_affordance_raises_the_loop_error_of_one_fault_at_any_position(fault, channel):
+    prior_nouns = CategoricalDistribution(4, np.array([0.4, 0.3, 0.3, 0.0]))
+    prior_verbs = CategoricalDistribution(3, np.array([0.5, 0.5, 0.0]))
+    for position in range(8):
+        rng = np.random.default_rng(position)
+        dets = _random_dets(rng, 8, 4, 3)
+        field = f"{channel}_probs"
+        setattr(dets[position], field, FUSION_FAULTS[fault](getattr(dets[position], field)))
+        want = _fault_error(lambda: _loop_fusion(dets, prior_nouns, prior_verbs))
+        got = _fault_error(lambda: aff.apply_affordance_to_detections(dets, prior_nouns, prior_verbs))
+        assert got == want, (fault, channel, position)
+
+
+def test_apply_affordance_raises_the_earliest_detection_error():
+    prior_nouns, prior_verbs = CategoricalDistribution.uniform(4), CategoricalDistribution.uniform(3)
+    dets = _random_dets(np.random.default_rng(5), 8, 4, 3)
+    dets[2].verb_probs = np.array([0.5, np.inf, 0.5])
+    dets[5].noun_probs = None
+    dets[6].noun_probs = np.ones(5)
+    with pytest.raises(ValueError, match="scores must be finite"):
+        aff.apply_affordance_to_detections(dets, prior_nouns, prior_verbs)
+    dets[2].verb_probs = np.ones(3)
+    with pytest.raises(ValueError, match="detection 'img5' is missing label probability"):
+        aff.apply_affordance_to_detections(dets, prior_nouns, prior_verbs)
 
 
 def test_default_operating_point():

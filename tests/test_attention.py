@@ -13,7 +13,7 @@ from stakit.attention import (
     TokenBundle,
 )
 
-from helpers import loop_attention, loop_bilinear, loop_conv3x3, loop_dual
+from helpers import loop_attention, loop_bilinear, loop_conv3x3, loop_dual, loop_gelu
 
 
 def weight_lists(w: AttentionWeights):
@@ -245,6 +245,17 @@ def test_dual_matches_straight_line_oracle():
     got_v = np.concatenate([out_v.tokens, out_v.class_token[None]])
     assert np.allclose(got_i, np.array(exp_i), atol=1e-12, rtol=0)
     assert np.allclose(got_v, np.array(exp_v), atol=1e-12, rtol=0)
+
+
+def test_gelu_and_its_gradient_match_loop_gelu_at_large_inputs():
+    # up to |x| = 1e100, where the cube is still finite for the oracle's float pow
+    xs = np.array([s * m for m in (0.5, 2.0, 4.0, 8.0, 30.0, 1e3, 1e6, 1e50, 1e100) for s in (1.0, -1.0)])
+    got, slope = att._gelu(xs), att._gelu_grad(xs)
+    for x, y, dy in zip(xs.tolist(), got.tolist(), slope.tolist()):
+        scale = max(1.0, abs(x))
+        assert abs(y - loop_gelu(x)) <= 1e-14 * scale, x
+        h = 1e-6 * scale
+        assert abs(dy - (loop_gelu(x + h) - loop_gelu(x - h)) / (2 * h)) <= 1e-7, x
 
 
 def test_dual_requires_class_tokens():

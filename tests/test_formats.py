@@ -399,6 +399,23 @@ def test_read_hotspot_maps_peak_memory_stays_below_the_file_size(tmp_path):
     assert peak < path.stat().st_size
 
 
+def test_write_hotspot_maps_peak_memory_stays_below_a_quarter_of_the_file_size(tmp_path):
+    rng = np.random.default_rng(8)
+    maps = [HotspotMap(f"img{i:03d}", g / g.sum()) for i, g in enumerate(rng.random((100, 24, 32)))]
+    path = tmp_path / "maps.jsonl"
+    path.write_text("stale\n" * 1000)  # a file written over is truncated first
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fm.write_hotspot_maps(path, maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == "".join(json.dumps({"uid": m.uid, "h": 24, "w": 32, "p": m.p.ravel().tolist()}) + "\n"
+                                       for m in maps)
+    assert peak < path.stat().st_size / 4
+
+
 def test_sta_record_uid_format():
     rec = STARecord("v01", 20, (0.0, 0.0, 10.0, 10.0), "plate", "take", 1.0)
     assert fm.sta_record_uid(rec) == "v01_0000020"

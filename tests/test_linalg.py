@@ -1,12 +1,19 @@
 """Dense kernel tests: frozen hand values plus algebraic properties."""
 
+import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stakit
 from stakit import linalg
 
 from helpers import loop_bilinear, loop_layer_norm, loop_matmul, loop_softmax_row
@@ -80,6 +87,62 @@ def test_matmul_is_deterministic():
     a = rng.normal(size=(7, 9))
     b = rng.normal(size=(9, 4))
     assert np.array_equal(linalg.matmul(a, b), linalg.matmul(a, b))
+
+
+# (rows, inner, cols) of the products that online inference and the gradient
+# checks make, then one-row and one-column operands, which the BLAS computes
+# with a matrix-vector kernel
+CONTRACT_SHAPES = [
+    (17, 64, 16), (16, 64, 16), (64, 64, 16), (17, 16, 17), (17, 17, 16), (16, 16, 64),
+    (17, 64, 64), (16, 64, 64), (17, 64, 256), (17, 256, 64),
+    (3, 6, 3), (3, 6, 12), (3, 12, 6), (6, 8, 4), (3, 8, 4), (3, 8, 8), (4, 8, 4), (3, 3, 3),
+    (3, 6, 6), (3, 6, 4), (3, 4, 6), (3, 4, 4), (6, 3, 3), (8, 3, 4), (8, 6, 4), (12, 3, 6),
+    (1, 64, 256), (1, 256, 64), (1, 6, 12), (1, 64, 1), (17, 64, 1), (256, 64, 1), (3, 6, 1),
+]
+
+HASH_PRODUCTS = """
+import hashlib, json, sys
+import numpy as np
+from stakit import linalg
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+for n, k, m in json.loads(sys.argv[1]):
+    a, b = rng.normal(size=(n, k)), rng.normal(size=(m, k)).T
+    digest.update(linalg.matmul(a, b).tobytes())
+    digest.update(linalg.matmul(a, np.ascontiguousarray(b)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_matmul_bits_are_the_same_at_one_and_two_blas_threads():
+    src = str(Path(stakit.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        digests.add(subprocess.run([sys.executable, "-c", HASH_PRODUCTS, json.dumps(CONTRACT_SHAPES)], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert len(digests) == 1
+
+
+def _layouts(m):
+    """m as a C-order copy, a transposed view, Fortran order, a column slice and at an odd offset."""
+    rows, cols = m.shape
+    wide = np.zeros((rows, 2 * cols + 1))
+    wide[:, 1::2] = m
+    shifted = np.zeros(rows * cols + 1)[1:].reshape(rows, cols)
+    shifted[...] = m
+    return [m.copy(), np.ascontiguousarray(m.T).T, np.asfortranarray(m), wide[:, 1::2], shifted]
+
+
+def test_matmul_bits_do_not_depend_on_operand_layout():
+    rng = np.random.default_rng(3)
+    for n, k, m in CONTRACT_SHAPES + [(80, 64, 256), (7, 1, 7)]:
+        a, b = rng.normal(size=(n, k)), rng.normal(size=(k, m))
+        expected = linalg.matmul(a, b)
+        for a_view, b_view in itertools.product(_layouts(a), _layouts(b)):
+            assert np.array_equal(a_view, a) and np.array_equal(b_view, b)
+            assert np.array_equal(linalg.matmul(a_view, b_view), expected), (n, k, m)
 
 
 # ---------------------------------------------------------------------------
