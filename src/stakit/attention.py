@@ -17,7 +17,10 @@ model:
 
 Every operator has an analytic backward pass for the scalar loss
 ``sum(output ** 2) / 2``; ``grad_check`` compares those gradients
-against central finite differences and reports the worst offender.
+against central finite differences and reports the worst offender.  The
+forward stages are rank-generic: they take stacks of token matrices or
+weights (leading batch axes), so ``grad_check`` runs every perturbed copy
+of a tensor through one pass, and the 2-D operators run the same code.
 
 Class-token fusion and the multi-scale feature pyramids that feed the
 detection head live here too since they share the token layout.
@@ -194,17 +197,18 @@ class TokenBundle:
 # shared attention core (no residual; callers add their own residual stream)
 
 
-def _attend_head(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights, h: int, scale: float):
-    q = linalg.matmul(q_src, w.w_q[h])
-    k = linalg.matmul(kv_src, w.w_k[h])
-    v = linalg.matmul(kv_src, w.w_v[h])
-    scores = linalg.matmul(q, k.T) * scale
+def _attend_head(q_src: np.ndarray, kv_src: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
+                 w_v: np.ndarray, scale: float):
+    q = linalg.matmul(q_src, w_q)
+    k = linalg.matmul(kv_src, w_k)
+    v = linalg.matmul(kv_src, w_v)
+    scores = linalg.matmul(q, k.swapaxes(-1, -2)) * scale
     probs = linalg.softmax_rows(scores)
     return linalg.matmul(probs, v), (q, k, v, probs)
 
 
 def _attend_forward(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights):
-    if q_src.shape[1] != w.d_model or kv_src.shape[1] != w.d_model:
+    if q_src.shape[-1] != w.d_model or kv_src.shape[-1] != w.d_model:
         raise ValueError(
             f"token width mismatch: queries {q_src.shape}, keys/values {kv_src.shape}, "
             f"weights expect d_model={w.d_model}"
@@ -213,10 +217,10 @@ def _attend_forward(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights):
     heads = []
     outs = []
     for h in range(w.heads):
-        out_h, head = _attend_head(q_src, kv_src, w, h, scale)
+        out_h, head = _attend_head(q_src, kv_src, w.w_q[h], w.w_k[h], w.w_v[h], scale)
         outs.append(out_h)
         heads.append(head)
-    concat = np.concatenate(outs, axis=1)
+    concat = np.concatenate(outs, axis=-1)
     out = linalg.matmul(concat, w.w_o)
     cache = {"q_src": q_src, "kv_src": kv_src, "heads": heads, "concat": concat, "scale": scale}
     return out, cache
@@ -254,8 +258,8 @@ def _attend_backward(d_out: np.ndarray, cache: dict, w: AttentionWeights):
 
 
 def _ln_forward(x: np.ndarray):
-    mu = x.mean(axis=1, keepdims=True)
-    var = np.mean((x - mu) ** 2, axis=1, keepdims=True)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
     std = np.sqrt(var + LN_EPS)
     xhat = (x - mu) / std
     return xhat, {"xhat": xhat, "std": std}
@@ -270,23 +274,31 @@ def _ln_backward(g: np.ndarray, cache: dict) -> np.ndarray:
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# Past |x| = 20 the tanh argument exceeds 300 and tanh is exactly +-1 in
+# float64, so clamping x there inside the tanh argument and the polynomial
+# factor changes no bit of a finite result; it only keeps the cube and the
+# square from overflowing (inf * 0 would make the gradient NaN).
+_GELU_CLAMP = 20.0
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
+    xc = np.minimum(np.maximum(x, -_GELU_CLAMP), _GELU_CLAMP)
+    u = _GELU_C * (xc + _GELU_A * (xc * xc * xc))
     return 0.5 * x * (1.0 + np.tanh(u))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
+    xc = np.minimum(np.maximum(x, -_GELU_CLAMP), _GELU_CLAMP)
+    u = _GELU_C * (xc + _GELU_A * (xc * xc * xc))
     t = np.tanh(u)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * xc ** 2)
 
 
-def _mlp_forward(x: np.ndarray, mw: MlpWeights):
-    pre = linalg.matmul(x, mw.w1) + mw.b1
+def _mlp_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
+    """Residual MLP over rows; the biases (or stacks of them) add to every row."""
+    pre = linalg.matmul(x, w1) + b1[..., None, :]
     act = _gelu(pre)
-    out = linalg.matmul(act, mw.w2) + mw.b2
+    out = linalg.matmul(act, w2) + b2[..., None, :]
     return x + out, {"x": x, "pre": pre, "act": act}
 
 
@@ -353,31 +365,40 @@ def frame_guided_pooling_with_maps(last_frame: TokenBundle, video: TokenBundle,
     return TokenBundle(tokens=last_frame.tokens + out), _maps(cache)
 
 
-def _stack_with_class(bundle: TokenBundle, side: str) -> np.ndarray:
-    if bundle.class_token is None:
+def _stack_with_class(tokens: np.ndarray, class_token: np.ndarray | None,
+                      positional: np.ndarray | None, side: str) -> np.ndarray:
+    """One side's residual stream: the tokens with the class token appended as
+    a last row, plus the positional embeddings.  Any of the three may be a
+    stack; the others are shared by every slice."""
+    if class_token is None:
         raise ValueError(f"dual_attention requires a class token on the {side} side")
-    x = np.concatenate([bundle.tokens, bundle.class_token[None, :]], axis=0)
-    if bundle.positional is not None:
-        x = x + bundle.positional
+    rows, d = tokens.shape[-2:]
+    x = np.empty((tokens.shape[:-2] or class_token.shape[:-1]) + (rows + 1, d))
+    x[..., :rows, :] = tokens
+    x[..., rows, :] = class_token
+    if positional is not None:
+        x = x + positional
     return x
 
 
-def _dual_forward(image: TokenBundle, video: TokenBundle, w_image: AttentionWeights,
-                  w_video: AttentionWeights, mlp: DualMlpWeights):
+def _residual_streams(image: TokenBundle, video: TokenBundle) -> tuple[np.ndarray, np.ndarray]:
     if image.tokens.shape != video.tokens.shape:
         raise ValueError(
             f"token-count mismatch: image tokens {image.tokens.shape}, video tokens {video.tokens.shape}"
         )
-    x_i = _stack_with_class(image, "image")
-    x_v = _stack_with_class(video, "video")
+    return _stack_with_class(**vars(image), side="image"), _stack_with_class(**vars(video), side="video")
+
+
+def _dual_forward(x_i: np.ndarray, x_v: np.ndarray, w_image: AttentionWeights,
+                  w_video: AttentionWeights, mlp: DualMlpWeights):
     n_i, ln_i = _ln_forward(x_i)
     n_v, ln_v = _ln_forward(x_v)
     att_i, cache_i = _attend_forward(n_i, n_v, w_image)
     att_v, cache_v = _attend_forward(n_v, n_i, w_video)
     h_i = x_i + att_i
     h_v = x_v + att_v
-    y_i, mlp_i = _mlp_forward(h_i, mlp.image)
-    y_v, mlp_v = _mlp_forward(h_v, mlp.video)
+    y_i, mlp_i = _mlp_forward(h_i, **vars(mlp.image))
+    y_v, mlp_v = _mlp_forward(h_v, **vars(mlp.video))
     cache = {"ln_i": ln_i, "ln_v": ln_v, "att_i": cache_i, "att_v": cache_v,
              "mlp_i": mlp_i, "mlp_v": mlp_v}
     return y_i, y_v, cache
@@ -405,7 +426,7 @@ def dual_attention(image: TokenBundle, video: TokenBundle, w_image: AttentionWei
 def dual_attention_with_maps(image: TokenBundle, video: TokenBundle, w_image: AttentionWeights,
                              w_video: AttentionWeights, mlp: DualMlpWeights):
     """``dual_attention`` plus the attention matrices of both branches."""
-    y_i, y_v, cache = _dual_forward(image, video, w_image, w_video, mlp)
+    y_i, y_v, cache = _dual_forward(*_residual_streams(image, video), w_image, w_video, mlp)
     maps = {"image_queries": _maps(cache["att_i"]), "video_queries": _maps(cache["att_v"])}
     return _split_rows(y_i), _split_rows(y_v), maps
 
@@ -560,31 +581,30 @@ def _named_bundle_arrays(prefix: str, b: TokenBundle) -> dict[str, np.ndarray]:
     return named
 
 
-def _loss_from(outputs: list[np.ndarray]) -> float:
-    return 0.5 * float(sum(np.sum(y * y) for y in outputs))
+def _loss(outputs: list[np.ndarray]):
+    """sum(y ** 2) / 2 over the outputs; one loss per slice when they are stacks."""
+    return 0.5 * sum(np.sum(y * y, axis=(-2, -1)) for y in outputs)
 
 
 def _attend_after_change(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights,
-                         base: dict, name: str) -> np.ndarray:
-    """Attention output after the tensor ``name`` changed since the pass
-    that produced ``base``, the cache of ``_attend_forward``.
+                         base: dict, name: str, value: np.ndarray) -> np.ndarray:
+    """Attention output after the weight ``name`` of ``w`` ("w_o", "w_q.h0",
+    ...) took ``value``, one matrix or a stack of them, since the pass that
+    produced ``base``, the cache of ``_attend_forward``.
 
     w_o only enters the output projection, and a head's projections only
     that head's slice of the concatenated outputs, so the rest is reused;
-    the arithmetic matches a full pass bit for bit.  Any other name (an
-    input) reruns the full pass.
+    the arithmetic matches a full pass bit for bit, slice by slice.
     """
     if name == "w_o":
-        return linalg.matmul(base["concat"], w.w_o)
+        return linalg.matmul(base["concat"], value)
     kind, _, head = name.rpartition(".h")
-    if kind in ("w_q", "w_k", "w_v"):
-        h = int(head)
-        out_h, _ = _attend_head(q_src, kv_src, w, h, base["scale"])
-        concat = base["concat"].copy()
-        concat[:, h * w.d_head:(h + 1) * w.d_head] = out_h
-        return linalg.matmul(concat, w.w_o)
-    out, _ = _attend_forward(q_src, kv_src, w)
-    return out
+    h = int(head)
+    mats = {"w_q": w.w_q[h], "w_k": w.w_k[h], "w_v": w.w_v[h], kind: value}
+    out_h, _ = _attend_head(q_src, kv_src, mats["w_q"], mats["w_k"], mats["w_v"], base["scale"])
+    concat = np.broadcast_to(base["concat"], out_h.shape[:-1] + base["concat"].shape[-1:]).copy()
+    concat[..., h * w.d_head:(h + 1) * w.d_head] = out_h
+    return linalg.matmul(concat, w.w_o)
 
 
 def _mha_like_case(q_name: str, kv_name: str):
@@ -597,9 +617,15 @@ def _mha_like_case(q_name: str, kv_name: str):
 
         _, base = _attend_forward(q.tokens, kv.tokens, w)
 
-        def loss(name: str) -> float:
-            out = _attend_after_change(q.tokens, kv.tokens, w, base, name)
-            return _loss_from([q.tokens + out])
+        def losses(name: str, stack: np.ndarray) -> np.ndarray:
+            if name == f"{q_name}.tokens":
+                out, _ = _attend_forward(stack, kv.tokens, w)
+                return _loss([stack + out])
+            if name == f"{kv_name}.tokens":
+                out, _ = _attend_forward(q.tokens, stack, w)
+            else:
+                out = _attend_after_change(q.tokens, kv.tokens, w, base, name, stack)
+            return _loss([q.tokens + out])
 
         def loss_and_grads():
             out, cache = _attend_forward(q.tokens, kv.tokens, w)
@@ -608,9 +634,9 @@ def _mha_like_case(q_name: str, kv_name: str):
             grads = {f"{q_name}.tokens": d_q + y,
                      f"{kv_name}.tokens": d_kv,
                      **_named_attention_arrays("", gw)}
-            return _loss_from([y]), grads
+            return float(_loss([y])), grads
 
-        return params, loss, loss_and_grads
+        return params, losses, loss_and_grads
 
     return build
 
@@ -628,35 +654,39 @@ def _dual_case(inputs, weights):
     # Stages of the unperturbed pass.  A weight tensor only feeds its own
     # branch, so perturbing it recomputes that branch from here on and
     # keeps the other branch's output; the arithmetic is the same as a
-    # full pass, so the loss comes out bit for bit the same.
-    x_i = _stack_with_class(image, "image")
-    x_v = _stack_with_class(video, "video")
-    y_i0, y_v0, base = _dual_forward(image, video, w_image, w_video, mlp)
+    # full pass, so the losses come out bit for bit the same.
+    x_i, x_v = _residual_streams(image, video)
+    y_i0, y_v0, base = _dual_forward(x_i, x_v, w_image, w_video, mlp)
     n_i, n_v = base["att_i"]["q_src"], base["att_v"]["q_src"]
     h_i, h_v = base["mlp_i"]["x"], base["mlp_v"]["x"]
 
-    def loss(name: str) -> float:
-        if name.startswith("mlp.image."):
-            y_i, _ = _mlp_forward(h_i, mlp.image)
-            return _loss_from([y_i, y_v0])
-        if name.startswith("mlp.video."):
-            y_v, _ = _mlp_forward(h_v, mlp.video)
-            return _loss_from([y_i0, y_v])
-        if name.startswith("image_branch."):
-            att_i = _attend_after_change(n_i, n_v, w_image, base["att_i"],
-                                         name[len("image_branch."):])
-            y_i, _ = _mlp_forward(x_i + att_i, mlp.image)
-            return _loss_from([y_i, y_v0])
-        if name.startswith("video_branch."):
-            att_v = _attend_after_change(n_v, n_i, w_video, base["att_v"],
-                                         name[len("video_branch."):])
-            y_v, _ = _mlp_forward(x_v + att_v, mlp.video)
-            return _loss_from([y_i0, y_v])
-        y_i, y_v, _ = _dual_forward(image, video, w_image, w_video, mlp)
-        return _loss_from([y_i, y_v])
+    def losses(name: str, stack: np.ndarray) -> np.ndarray:
+        group, _, field = name.partition(".")
+        if group == "mlp":
+            side, _, field = field.partition(".")
+            if side == "image":
+                y_i, _ = _mlp_forward(h_i, **{**vars(mlp.image), field: stack})
+                return _loss([y_i, y_v0])
+            y_v, _ = _mlp_forward(h_v, **{**vars(mlp.video), field: stack})
+            return _loss([y_i0, y_v])
+        if group == "image_branch":
+            att_i = _attend_after_change(n_i, n_v, w_image, base["att_i"], field, stack)
+            y_i, _ = _mlp_forward(x_i + att_i, **vars(mlp.image))
+            return _loss([y_i, y_v0])
+        if group == "video_branch":
+            att_v = _attend_after_change(n_v, n_i, w_video, base["att_v"], field, stack)
+            y_v, _ = _mlp_forward(x_v + att_v, **vars(mlp.video))
+            return _loss([y_i0, y_v])
+        if group == "image":
+            y_i, y_v, _ = _dual_forward(_stack_with_class(**{**vars(image), field: stack}, side="image"),
+                                        x_v, w_image, w_video, mlp)
+        else:
+            y_i, y_v, _ = _dual_forward(x_i, _stack_with_class(**{**vars(video), field: stack}, side="video"),
+                                        w_image, w_video, mlp)
+        return _loss([y_i, y_v])
 
     def loss_and_grads():
-        y_i, y_v, cache = _dual_forward(image, video, w_image, w_video, mlp)
+        y_i, y_v, cache = _dual_forward(*_residual_streams(image, video), w_image, w_video, mlp)
         d_h_i, g_mlp_i = _mlp_backward(y_i, cache["mlp_i"], mlp.image)
         d_h_v, g_mlp_v = _mlp_backward(y_v, cache["mlp_v"], mlp.video)
         d_n_i_a, d_n_v_a, g_image = _attend_backward(d_h_i, cache["att_i"], w_image)
@@ -675,9 +705,9 @@ def _dual_case(inputs, weights):
             grads["image.positional"] = d_x_i
         if video.positional is not None:
             grads["video.positional"] = d_x_v
-        return _loss_from([y_i, y_v]), grads
+        return float(_loss([y_i, y_v])), grads
 
-    return params, loss, loss_and_grads
+    return params, losses, loss_and_grads
 
 
 GRAD_CHECK_OPS = ("mha", "frame_guided_pooling", "dual_attention")
@@ -687,6 +717,9 @@ _CASE_BUILDERS = {
     "frame_guided_pooling": _mha_like_case("last_frame", "video"),
     "dual_attention": _dual_case,
 }
+
+# Perturbed copies per stacked forward pass in ``grad_check``.
+_STACK_CHUNK = 128
 
 
 def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckReport:
@@ -700,26 +733,41 @@ def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckR
     against a near-zero value finite differences cannot resolve.  Returns
     the worst error, the number of scalars checked, and which tensor held
     the worst one.
+
+    The 2n perturbed copies of an n-scalar tensor (+epsilon, then
+    -epsilon, for each scalar in C order) form one stack, and only the
+    stages that tensor feeds run over it, as one rank-generic pass; every
+    loss has the same bits as a full 2-D pass at that perturbation.  The
+    stack goes through ``_STACK_CHUNK`` (128) copies at a time, so a chunk
+    holds at most 128 x n floats, 1 MiB for the (16, 64) MLP weight of a
+    d_model 16 ``dual_attention`` instance and 16 MiB for the (64, 256)
+    one at d_model 64.  With its pass's intermediates the check peaks
+    below four chunks of its largest tensor (2.7 and 22 MiB traced at
+    those two sizes), however many scalars it checks.  The inputs are
+    never modified.
     """
     if op_id not in _CASE_BUILDERS:
         raise ValueError(f"unknown grad-check op {op_id!r}; expected one of {GRAD_CHECK_OPS}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    params, loss_fn, loss_and_grads = _CASE_BUILDERS[op_id](inputs, weights)
+    params, losses, loss_and_grads = _CASE_BUILDERS[op_id](inputs, weights)
     _, grads = loss_and_grads()
     worst = ""
     max_rel = 0.0
     checked = 0
     for name, arr in params.items():
-        numeric = np.empty(arr.size)
-        for i in range(arr.size):
-            orig = arr.flat[i]
-            arr.flat[i] = orig + epsilon
-            lp = loss_fn(name)
-            arr.flat[i] = orig - epsilon
-            lm = loss_fn(name)
-            arr.flat[i] = orig
-            numeric[i] = (lp - lm) / (2.0 * epsilon)
+        n = arr.size
+        flat = arr.reshape(-1)
+        perturbed = np.concatenate([flat + epsilon, flat - epsilon])
+        loss = np.empty(2 * n)
+        buffer = np.empty((min(2 * n, _STACK_CHUNK), n))
+        for start in range(0, 2 * n, _STACK_CHUNK):
+            rows = np.arange(start, min(start + _STACK_CHUNK, 2 * n))
+            stack = buffer[:rows.size]
+            stack[...] = flat
+            stack[rows - start, rows % n] = perturbed[rows]
+            loss[rows] = losses(name, stack.reshape((rows.size,) + arr.shape))
+        numeric = (loss[:n] - loss[n:]) / (2.0 * epsilon)
         analytic = np.asarray(grads[name], dtype=np.float64).reshape(-1)
         scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-8)
         rel = float(np.max(np.abs(analytic - numeric))) / scale

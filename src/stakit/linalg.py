@@ -1,11 +1,14 @@
 """Dense numeric kernels shared by every other module.
 
 Conventions: a "matrix" is a 2-D float64 ndarray (rows x cols, row-major),
-a "grid" is a 3-D float64 ndarray (height x width x channels).  All kernels
-are pure functions, inputs are never mutated.  Every kernel gives the same
-bits for the same values and shapes on one install, whatever the memory
-layout of its operands; golden tests rely on that.  matmul, the one kernel
-that calls the BLAS, states how far that holds across BLAS thread counts.
+a "grid" is a 3-D float64 ndarray (height x width x channels).  matmul and
+softmax_rows also take stacks of matrices (..., rows, cols): the leading
+axes are batch axes, and each slice comes out with the same bits as the
+kernel applied to that matrix alone.  All kernels are pure functions,
+inputs are never mutated.  Every kernel gives the same bits for the same
+values and shapes on one install, whatever the memory layout of its
+operands; golden tests rely on that.  matmul, the one kernel that calls
+the BLAS, states how far that holds across BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -43,36 +46,51 @@ def as_grid(values) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check, computed by the linked BLAS.
+    """Matrix product (..., m, k) @ (..., k, n) with explicit shape checks, computed by the linked BLAS.
 
-    Both operands are copied to C order first, so the BLAS sees one layout
-    for each pair of shapes: the same values and shapes give the same bits
-    on one install whatever the operands' strides or offsets (a transposed
-    view, Fortran order or a column slice would otherwise take another
-    kernel).  The products that attention makes give the same bits at one
-    and two BLAS threads too; a larger product that the BLAS splits among
-    threads may not (OpenBLAS 0.3.31 rounds a 64x64 by 64x300 product
-    differently at 1 and 2 threads).  Results are not row-independent: a
-    one-row product takes a matrix-vector kernel, so a row computed alone
-    can differ in its last bit from the same row inside a larger product.
+    Operands have rank 2 or more; their leading axes are batch axes that
+    broadcast against each other, so a single matrix pairs with every
+    slice of a stack.  Each slice of a stacked product has the same bits
+    as the 2-D product of that slice: numpy hands the BLAS one slice at a
+    time, with the same kernel and layout as the 2-D call.  Both operands
+    are copied to C order first, so the BLAS sees one layout for each pair
+    of shapes: the same values and shapes give the same bits on one
+    install whatever the operands' strides or offsets (a transposed or
+    swapped-axes view, Fortran order or a column slice would otherwise
+    take another kernel).  The products that attention makes give the same
+    bits at one and two BLAS threads too; a larger product that the BLAS
+    splits among threads may not (OpenBLAS 0.3.31 rounds a 64x64 by 64x300
+    product differently at 1 and 2 threads).  Results are not
+    row-independent: a one-row product takes a matrix-vector kernel, so a
+    row computed alone can differ in its last bit from the same row inside
+    a larger product.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul expects operands of rank 2 or more, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    if a.ndim > 2 and b.ndim > 2:
+        try:
+            np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        except ValueError:
+            raise ValueError(f"matmul batch axes do not broadcast: {a.shape} x {b.shape}") from None
     return np.ascontiguousarray(a) @ np.ascontiguousarray(b)
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilised by subtracting each row's max."""
+    """Softmax along the last axis, stabilised by subtracting each row's max.
+
+    m is a nonempty matrix or a stack of them (..., rows, cols); each slice
+    of a stack comes out with the same bits as that matrix alone.
+    """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"softmax_rows expects a nonempty 2-D matrix, got shape {m.shape}")
-    shifted = m - m.max(axis=1, keepdims=True)
+    if m.ndim < 2 or m.size == 0:
+        raise ValueError(f"softmax_rows expects a nonempty matrix or stack of matrices, got shape {m.shape}")
+    shifted = m - m.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def layer_norm(m: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -43,6 +43,17 @@ def loop_gelu(x):
     return 0.5 * x * (1.0 + math.tanh(u))
 
 
+def loop_gelu_grad(x):
+    """Derivative of the tanh-form GELU.  Past |x| = 50 tanh has saturated to
+    exactly +-1, so the derivative is that of the step: 1 above, 0 below
+    (the float pow would overflow there)."""
+    if abs(x) > 50.0:
+        return 1.0 if x > 0 else 0.0
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = math.tanh(c * (x + a * x ** 3))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * a * x * x)
+
+
 def loop_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -126,6 +137,40 @@ def loop_conv3x3(grid, kernel):
                             acc += kernel[u][v] * grid[y][x][ch]
                 out[i][j][ch] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# gradient checking
+
+
+def loop_grad_check(params, loss, grads, epsilon):
+    """Central differences one scalar at a time, reported like ``grad_check``.
+
+    params maps tensor names to the arrays that loss() reads; each scalar
+    is set in place to its value + epsilon, then - epsilon, and loss()
+    reruns the whole forward pass each time.  grads maps the same names to
+    the analytic gradients.  Per tensor the error is the largest entrywise
+    difference over max(|analytic|_inf, |numeric|_inf, 1e-8).  Returns
+    the report as a dict of max_rel_error, params_checked and worst.
+    """
+    worst, max_rel, checked = "", 0.0, 0
+    for name, arr in params.items():
+        numeric = []
+        for i in range(arr.size):
+            orig = arr.flat[i]
+            arr.flat[i] = orig + epsilon
+            lp = loss()
+            arr.flat[i] = orig - epsilon
+            lm = loss()
+            arr.flat[i] = orig
+            numeric.append((lp - lm) / (2.0 * epsilon))
+        analytic = [float(g) for g in grads[name].flat]
+        scale = max(max(abs(g) for g in analytic), max(abs(g) for g in numeric), 1e-8)
+        rel = max(abs(g - f) for g, f in zip(analytic, numeric)) / scale
+        if rel > max_rel:
+            max_rel, worst = rel, name
+        checked += arr.size
+    return {"max_rel_error": max_rel, "params_checked": checked, "worst": worst}
 
 
 # ---------------------------------------------------------------------------

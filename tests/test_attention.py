@@ -1,6 +1,9 @@
 """Attention operator tests: residual identities, straight-line oracles,
 pyramid plumbing, and gradient checks."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,8 @@ from stakit.attention import (
     TokenBundle,
 )
 
-from helpers import loop_attention, loop_bilinear, loop_conv3x3, loop_dual, loop_gelu
+from helpers import (loop_attention, loop_bilinear, loop_conv3x3, loop_dual, loop_gelu, loop_gelu_grad,
+                     loop_grad_check)
 
 
 def weight_lists(w: AttentionWeights):
@@ -258,6 +262,32 @@ def test_gelu_and_its_gradient_match_loop_gelu_at_large_inputs():
         assert abs(dy - (loop_gelu(x + h) - loop_gelu(x - h)) / (2 * h)) <= 1e-7, x
 
 
+def test_gelu_grad_matches_loop_oracle_up_to_1e300_without_warnings():
+    rng = np.random.default_rng(61)
+    xs = np.concatenate([rng.normal(scale=4.0, size=200),
+                         [s * m for m in (10.0, 20.0, 26.0, 50.0, 1e3, 1e102, 1e103, 1e154, 1.4e154, 1e200, 1e300)
+                          for s in (1.0, -1.0)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, slope = att._gelu(xs), att._gelu_grad(xs)
+    for x, y, dy in zip(xs.tolist(), got.tolist(), slope.tolist()):
+        assert abs(dy - loop_gelu_grad(x)) <= 1e-12, x
+        if abs(x) >= 10.0:
+            assert y == (x if x > 0 else 0.0), x
+
+
+def test_gelu_clamp_changes_no_bit_of_the_formulas():
+    # the unclamped formulas, before x was clamped inside tanh and the
+    # polynomial, on both sides of the clamp while they raise no overflow
+    x = np.concatenate([np.random.default_rng(60).normal(scale=4.0, size=2000),
+                        [s * m for m in (21.0, 25.0, 1e3, 1e50, 1e100) for s in (1.0, -1.0)]])
+    u = att._GELU_C * (x + att._GELU_A * (x * x * x))
+    t = np.tanh(u)
+    assert np.array_equal(att._gelu(x), 0.5 * x * (1.0 + t))
+    assert np.array_equal(att._gelu_grad(x), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * att._GELU_C
+                          * (1.0 + 3.0 * att._GELU_A * x ** 2))
+
+
 def test_dual_requires_class_tokens():
     rng = np.random.default_rng(34)
     plain = TokenBundle(rng.normal(size=(2, 4)))
@@ -450,17 +480,74 @@ def test_grad_check_all_ops_single_seed(op):
 
 @pytest.mark.parametrize("op", att.GRAD_CHECK_OPS)
 def test_grad_check_partial_loss_equals_full_pass(op):
-    # the loss recomputes only the stages a perturbed tensor feeds; an
-    # unmatched name falls back to the full forward pass
+    # the stacked losses recompute only the stages a perturbed tensor feeds;
+    # each slice's loss must equal a full 2-D pass with the tensor set to it
     inputs, weights = att.random_instance(op, 5, d_model=6, heads=2,
                                           n_tokens=2, mlp_hidden=8)
-    params, loss, _ = att._CASE_BUILDERS[op](inputs, weights)
+    params, losses, loss_and_grads = att._CASE_BUILDERS[op](inputs, weights)
     for name, arr in params.items():
-        for i in (0, arr.size - 1):
-            orig = arr.flat[i]
-            arr.flat[i] = orig + 1e-3
-            assert loss(name) == loss(""), (name, i)
-            arr.flat[i] = orig
+        stack = np.repeat(arr[None], 2, axis=0)
+        stack[0].flat[0] += 1e-3
+        stack[1].flat[arr.size - 1] += 1e-3
+        got = losses(name, stack)
+        orig = arr.copy()
+        for s in range(2):
+            arr[...] = stack[s]
+            assert got[s] == loss_and_grads()[0], (name, s)
+        arr[...] = orig
+
+
+def full_pass_loss(op, inputs, weights) -> float:
+    """sum(output ** 2) / 2 through the public 2-D operator."""
+    if op == "dual_attention":
+        outs = [np.vstack([b.tokens, b.class_token]) for b in att.dual_attention(*inputs, *weights)]
+    else:
+        outs = [getattr(att, op)(*inputs, weights).tokens]
+    return 0.5 * float(sum(np.sum(y * y) for y in outs))
+
+
+def loop_report(op, inputs, weights, epsilon=1e-5):
+    params, _, loss_and_grads = att._CASE_BUILDERS[op](inputs, weights)
+    return loop_grad_check(params, lambda: full_pass_loss(op, inputs, weights), loss_and_grads()[1], epsilon)
+
+
+def criterion_instance(op, seed, heads=2):
+    if op == "dual_attention":
+        return att.random_instance(op, seed, d_model=6, heads=heads, n_tokens=2, mlp_hidden=12)
+    return att.random_instance(op, seed, heads=heads)
+
+
+@pytest.mark.parametrize("op,seed,heads", [(op, seed, 2) for op in ("mha", "frame_guided_pooling")
+                                            for seed in range(4)]
+                         + [("dual_attention", seed, 2) for seed in range(2)]
+                         + [(op, 3, heads) for op in att.GRAD_CHECK_OPS for heads in (1, 4)])
+def test_grad_check_report_equals_per_scalar_loop(op, seed, heads):
+    inputs, weights = criterion_instance(op, seed, heads)
+    report = att.grad_check(op, inputs, weights, epsilon=1e-5).to_json()
+    assert report == loop_report(op, inputs, weights)
+
+
+@pytest.mark.parametrize("op", att.GRAD_CHECK_OPS)
+def test_grad_check_report_does_not_depend_on_the_chunk(op, monkeypatch):
+    inputs, weights = criterion_instance(op, 7)
+    expected = att.grad_check(op, inputs, weights).to_json()
+    for chunk in (1, 7):
+        monkeypatch.setattr(att, "_STACK_CHUNK", chunk)
+        assert att.grad_check(op, inputs, weights).to_json() == expected, chunk
+
+
+def test_grad_check_memory_is_bounded_by_the_chunk():
+    # the largest tensor is the (16, 64) MLP weight; unchunked, its 2048
+    # perturbed copies alone would take 16 MiB
+    inputs, weights = att.random_instance("dual_attention", 0, d_model=16)
+    largest = max(arr.size for arr in att._CASE_BUILDERS["dual_attention"](inputs, weights)[0].values())
+    tracemalloc.start()
+    try:
+        att.grad_check("dual_attention", inputs, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * att._STACK_CHUNK * largest * 8, peak
 
 
 def test_random_instance_is_reproducible():

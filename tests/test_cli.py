@@ -393,6 +393,25 @@ def test_attn_check_grad_cli(capsys):
     assert isinstance(result["worst"], str)
 
 
+# what the per-scalar loop (helpers.loop_grad_check) reports; the stacked
+# grad_check must print it byte for byte
+CHECK_GRAD_SEED_3 = {
+    "mha": (5.16217650176333e-10, 312, "w_k.h0"),
+    "frame_guided_pooling": (1.135728473190766e-09, 328, "w_q.h0"),
+    "dual_attention": (4.928164399134572e-10, 1744, "video_branch.w_q.h1"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(CHECK_GRAD_SEED_3))
+def test_attn_check_grad_output_is_golden(op, capsys):
+    max_rel_error, params_checked, worst = CHECK_GRAD_SEED_3[op]
+    code, out, err = run_cli(["attn", "check-grad", "--op", op, "--seed", "3"], capsys)
+    assert code == 0, err
+    assert out == (f'{{\n  "op": "{op}",\n  "seed": 3,\n  "epsilon": 1e-05,\n'
+                   f'  "max_rel_error": {max_rel_error!r},\n  "params_checked": {params_checked},\n'
+                   f'  "worst": "{worst}"\n}}\n')
+
+
 # ---------------------------------------------------------------------------
 # demo synth
 

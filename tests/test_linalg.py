@@ -114,15 +114,38 @@ print(digest.hexdigest())
 """
 
 
-def test_matmul_bits_are_the_same_at_one_and_two_blas_threads():
+# stacks of three, a shared matrix on either side, and swapped-axes views
+HASH_STACKED_PRODUCTS = """
+import hashlib, json, sys
+import numpy as np
+from stakit import linalg
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+for n, k, m in json.loads(sys.argv[1]):
+    a, b = rng.normal(size=(3, n, k)), rng.normal(size=(3, m, k)).swapaxes(-1, -2)
+    for x, y in ((a, b), (a[0], b), (a, b[0]), (a, np.ascontiguousarray(b))):
+        digest.update(linalg.matmul(x, y).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def digests_at_one_and_two_blas_threads(script):
     src = str(Path(stakit.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = set()
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        digests.add(subprocess.run([sys.executable, "-c", HASH_PRODUCTS, json.dumps(CONTRACT_SHAPES)], env=env,
+        digests.add(subprocess.run([sys.executable, "-c", script, json.dumps(CONTRACT_SHAPES)], env=env,
                                    capture_output=True, text=True, check=True).stdout)
-    assert len(digests) == 1
+    return digests
+
+
+def test_matmul_bits_are_the_same_at_one_and_two_blas_threads():
+    assert len(digests_at_one_and_two_blas_threads(HASH_PRODUCTS)) == 1
+
+
+def test_stacked_matmul_bits_are_the_same_at_one_and_two_blas_threads():
+    assert len(digests_at_one_and_two_blas_threads(HASH_STACKED_PRODUCTS)) == 1
 
 
 def _layouts(m):
@@ -143,6 +166,47 @@ def test_matmul_bits_do_not_depend_on_operand_layout():
         for a_view, b_view in itertools.product(_layouts(a), _layouts(b)):
             assert np.array_equal(a_view, a) and np.array_equal(b_view, b)
             assert np.array_equal(linalg.matmul(a_view, b_view), expected), (n, k, m)
+
+
+def test_stacked_matmul_slices_equal_the_2d_products():
+    rng = np.random.default_rng(8)
+    for n, k, m in CONTRACT_SHAPES:
+        a, b = rng.normal(size=(3, n, k)), rng.normal(size=(3, k, m))
+        stacked = linalg.matmul(a, b)
+        assert stacked.shape == (3, n, m)
+        for i in range(3):
+            assert np.array_equal(stacked[i], linalg.matmul(a[i], b[i])), (n, k, m)
+
+
+def test_stacked_matmul_broadcasts_a_matrix_against_a_stack_on_either_side():
+    rng = np.random.default_rng(9)
+    for n, k, m in CONTRACT_SHAPES:
+        a, b = rng.normal(size=(2, 3, n, k)), rng.normal(size=(k, m))
+        left, right = linalg.matmul(a, b), linalg.matmul(b.T, a.swapaxes(-1, -2))
+        for i, j in itertools.product(range(2), range(3)):
+            assert np.array_equal(left[i, j], linalg.matmul(a[i, j], b)), (n, k, m)
+            assert np.array_equal(right[i, j], linalg.matmul(b.T, a[i, j].T)), (n, k, m)
+
+
+def test_stacked_matmul_bits_do_not_depend_on_operand_layout():
+    rng = np.random.default_rng(10)
+    for n, k, m in CONTRACT_SHAPES:
+        a, b = rng.normal(size=(3, n, k)), rng.normal(size=(3, k, m))
+        expected = linalg.matmul(a, b)
+        a_view = np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+        b_view = np.ascontiguousarray(b.swapaxes(-1, -2)).swapaxes(-1, -2)
+        assert np.array_equal(a_view, a) and np.array_equal(b_view, b)
+        assert np.array_equal(linalg.matmul(a_view, b_view), expected), (n, k, m)
+        assert np.array_equal(linalg.matmul(a_view, b), expected), (n, k, m)
+
+
+def test_stacked_matmul_rejects_mismatched_inner_and_batch_sizes():
+    with pytest.raises(ValueError, match=r"\(3, 2, 3\) x \(3, 2, 2\)"):
+        linalg.matmul(np.zeros((3, 2, 3)), np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError, match=r"\(2, 3\) x \(4, 2, 2\)"):
+        linalg.matmul(np.zeros((2, 3)), np.zeros((4, 2, 2)))
+    with pytest.raises(ValueError, match=r"batch axes.*\(3, 2, 2\) x \(4, 2, 2\)"):
+        linalg.matmul(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +234,15 @@ def test_softmax_rejects_empty_and_1d():
         linalg.softmax_rows(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         linalg.softmax_rows(np.zeros(3))
+
+
+def test_softmax_of_a_stack_equals_each_slice_alone():
+    rng = np.random.default_rng(11)
+    for shape in ((4, 1, 1), (4, 3, 1), (4, 1, 17), (2, 3, 17, 64), (5, 16, 64)):
+        m = rng.normal(scale=3.0, size=shape)
+        out = linalg.softmax_rows(m)
+        for idx in np.ndindex(shape[:-2]):
+            assert np.array_equal(out[idx], linalg.softmax_rows(m[idx])), (shape, idx)
 
 
 @settings(max_examples=60, deadline=None)
