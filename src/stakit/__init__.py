@@ -2,8 +2,8 @@
 
 Modules:
 
-* ``linalg``: dense float64 kernels (matmul, softmax, layer norm,
-  bilinear resize) whose bits do not depend on operand layout.
+* ``linalg``: dense float64 kernels (matmul, softmax, bilinear resize)
+  whose bits do not depend on operand layout.
 * ``attention``: residual cross-attention operators with analytic
   backward passes and finite-difference gradient checking.
 * ``affordance``: interaction-zone database, top-K retrieval, label

@@ -22,8 +22,7 @@ forward stages are rank-generic: they take stacks of token matrices or
 weights (leading batch axes), so ``grad_check`` runs every perturbed copy
 of a tensor through one pass, and the 2-D operators run the same code.
 
-Class-token fusion and the multi-scale feature pyramids that feed the
-detection head live here too since they share the token layout.
+Class-token fusion lives here too since it shares the token layout.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "MlpWeights",
     "DualMlpWeights",
     "TokenBundle",
-    "FeaturePyramid",
     "GradCheckReport",
     "mha",
     "mha_with_maps",
@@ -49,9 +47,6 @@ __all__ = [
     "dual_attention",
     "dual_attention_with_maps",
     "fuse_class_tokens",
-    "conv3x3",
-    "build_pyramid",
-    "fuse_pyramids",
     "grad_check",
     "random_instance",
     "GRAD_CHECK_OPS",
@@ -441,104 +436,6 @@ def fuse_class_tokens(image_class: np.ndarray, video_class: np.ndarray) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# feature pyramids
-
-
-def conv3x3(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Depthwise 3x3 cross-correlation, stride 1, zero padding.
-
-    The same 3x3 kernel is applied to every channel.  A kernel with a
-    single centre tap of 1 is the identity.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if grid.ndim != 3:
-        raise ValueError(f"conv3x3 expects an (h, w, c) grid, got shape {grid.shape}")
-    if kernel.shape != (3, 3):
-        raise ValueError(f"conv3x3 kernel must be 3x3, got {kernel.shape}")
-    h, w, _ = grid.shape
-    padded = np.pad(grid, ((1, 1), (1, 1), (0, 0)))
-    out = np.zeros_like(grid)
-    for u in range(3):
-        for v in range(3):
-            out += kernel[u, v] * padded[u:u + h, v:v + w, :]
-    return out
-
-
-@dataclass
-class FeaturePyramid:
-    """Per-scale feature grids plus the 3x3 smoothing kernel of each level.
-
-    Levels are ordered largest to smallest; multi-level pyramids must have
-    strictly decreasing spatial sizes and a shared channel count.
-    """
-
-    levels: list[np.ndarray]
-    kernels: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValueError("a pyramid needs at least one level")
-        if len(self.kernels) != len(self.levels):
-            raise ValueError(
-                f"{len(self.levels)} levels but {len(self.kernels)} kernels"
-            )
-        c = self.levels[0].shape[2]
-        prev = None
-        for i, lvl in enumerate(self.levels):
-            if lvl.ndim != 3 or lvl.shape[2] != c:
-                raise ValueError(f"level {i} has shape {lvl.shape}, expected channels={c}")
-            size = lvl.shape[0] * lvl.shape[1]
-            if prev is not None and size >= prev:
-                raise ValueError("pyramid levels must strictly decrease in spatial size")
-            prev = size
-        for i, k in enumerate(self.kernels):
-            if k.shape != (3, 3):
-                raise ValueError(f"kernel {i} must be 3x3, got {k.shape}")
-
-
-def build_pyramid(bundle: TokenBundle, grid_h: int, grid_w: int,
-                  scales: list[tuple[int, int]], kernels) -> FeaturePyramid:
-    """Reshape tokens to a grid, resize to each scale, smooth with 3x3 convs.
-
-    kernels may be one 3x3 array shared by all scales or one per scale.
-    """
-    n, d = bundle.tokens.shape
-    if n != grid_h * grid_w:
-        raise ValueError(f"{n} tokens do not tile a {grid_h}x{grid_w} grid")
-    if not scales:
-        raise ValueError("at least one scale is required")
-    kernel_list = list(kernels) if isinstance(kernels, (list, tuple)) else [kernels] * len(scales)
-    if len(kernel_list) != len(scales):
-        raise ValueError(f"{len(scales)} scales but {len(kernel_list)} kernels")
-    base = bundle.tokens.reshape(grid_h, grid_w, d)
-    levels = []
-    for (sh, sw), kern in zip(scales, kernel_list):
-        resized = linalg.bilinear_resize(base, sh, sw)
-        levels.append(conv3x3(resized, np.asarray(kern, dtype=np.float64)))
-    return FeaturePyramid(levels=levels, kernels=[np.asarray(k, dtype=np.float64) for k in kernel_list])
-
-
-def fuse_pyramids(a: FeaturePyramid, b: FeaturePyramid,
-                  kernels: list[np.ndarray] | None = None) -> FeaturePyramid:
-    """Sum two pyramids level by level, then smooth each sum with a 3x3 conv.
-
-    The smoothing kernels default to the first pyramid's.  With identity
-    kernels the result is the plain levelwise sum.
-    """
-    if len(a.levels) != len(b.levels):
-        raise ValueError(f"level count mismatch: {len(a.levels)} vs {len(b.levels)}")
-    for i, (la, lb) in enumerate(zip(a.levels, b.levels)):
-        if la.shape != lb.shape:
-            raise ValueError(f"level {i} shape mismatch: {la.shape} vs {lb.shape}")
-    kernel_list = list(kernels) if kernels is not None else [k.copy() for k in a.kernels]
-    if len(kernel_list) != len(a.levels):
-        raise ValueError(f"{len(a.levels)} levels but {len(kernel_list)} kernels")
-    fused = [conv3x3(la + lb, k) for (la, lb), k in zip(zip(a.levels, b.levels), kernel_list)]
-    return FeaturePyramid(levels=fused, kernels=kernel_list)
-
-
-# ---------------------------------------------------------------------------
 # gradient checking
 
 
@@ -611,8 +508,9 @@ def _mha_like_case(q_name: str, kv_name: str):
     def build(inputs, weights):
         q, kv = inputs
         w: AttentionWeights = weights
-        params = {**_named_bundle_arrays(f"{q_name}.", q),
-                  **_named_bundle_arrays(f"{kv_name}.", kv),
+        # The operator reads the tokens only; a class token or positions
+        # that a bundle carries do not reach the output.
+        params = {f"{q_name}.tokens": q.tokens, f"{kv_name}.tokens": kv.tokens,
                   **_named_attention_arrays("", w)}
 
         _, base = _attend_forward(q.tokens, kv.tokens, w)

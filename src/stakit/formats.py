@@ -25,14 +25,12 @@ from .attention import AttentionWeights, MlpWeights
 from .curation import ActionSegment, BoxAnnotation, STARecord
 from .evaluation import EvalReport, GroundTruth
 from .hotspot import Detection, HotspotMap
-from .linalg import as_grid, as_matrix
+from .linalg import as_matrix
 
 __all__ = [
     "InputError",
     "matrix_to_json",
     "matrix_from_json",
-    "grid_to_json",
-    "grid_from_json",
     "attention_weights_to_json",
     "attention_weights_from_json",
     "mlp_weights_to_json",
@@ -178,7 +176,7 @@ def _float_list(values) -> list[float]:
 
 
 # --------------------------------------------------------------------------
-# matrices and grids
+# matrices
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -186,22 +184,13 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": m.shape[0], "cols": m.shape[1], "data": _float_list(m)}
 
 
-def _array(obj, dims: tuple, coerce) -> np.ndarray:
-    shape = [_convert(obj, d, _int) for d in dims]
-    return coerce(_convert(obj, "data", _vector, math.prod(shape)).reshape(shape))
+def _matrix(obj) -> np.ndarray:
+    rows, cols = _convert(obj, "rows", _int), _convert(obj, "cols", _int)
+    return as_matrix(_convert(obj, "data", _vector, rows * cols).reshape(rows, cols))
 
 
 def matrix_from_json(obj: dict, *, path=None) -> np.ndarray:
-    return _at(_array, obj, ("rows", "cols"), as_matrix, path=path)
-
-
-def grid_to_json(g: np.ndarray) -> dict:
-    g = as_grid(g)
-    return {"h": g.shape[0], "w": g.shape[1], "c": g.shape[2], "data": _float_list(g)}
-
-
-def grid_from_json(obj: dict, *, path=None) -> np.ndarray:
-    return _at(_array, obj, ("h", "w", "c"), as_grid, path=path)
+    return _at(_matrix, obj, path=path)
 
 
 # --------------------------------------------------------------------------

@@ -17,10 +17,8 @@ import numpy as np
 
 __all__ = [
     "as_matrix",
-    "as_grid",
     "matmul",
     "softmax_rows",
-    "layer_norm",
     "bilinear_resize",
 ]
 
@@ -33,16 +31,6 @@ def as_matrix(values) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def as_grid(values) -> np.ndarray:
-    """Coerce to a 3-D (h, w, c) float64 array, rejecting NaN/Inf entries."""
-    g = np.asarray(values, dtype=np.float64)
-    if g.ndim != 3:
-        raise ValueError(f"expected a 3-D grid, got ndim={g.ndim}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("grid entries must be finite")
-    return g
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,30 +79,6 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     shifted = m - m.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def layer_norm(m: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Per-row normalisation with learnable scale and shift.
-
-    Uses the population variance (divide by the row length, not length - 1).
-    gamma and beta are length-cols vectors applied to every row.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] == 0:
-        raise ValueError(f"layer_norm expects a 2-D matrix with columns, got shape {m.shape}")
-    if gamma.shape != (m.shape[1],) or beta.shape != (m.shape[1],):
-        raise ValueError(
-            f"layer_norm affine shape mismatch: matrix has {m.shape[1]} columns, "
-            f"gamma {gamma.shape}, beta {beta.shape}"
-        )
-    if eps <= 0:
-        raise ValueError(f"layer_norm eps must be positive, got {eps}")
-    mu = m.mean(axis=1, keepdims=True)
-    var = np.mean((m - mu) ** 2, axis=1, keepdims=True)
-    normed = (m - mu) / np.sqrt(var + eps)
-    return normed * gamma + beta
 
 
 def bilinear_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

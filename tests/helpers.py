@@ -122,23 +122,6 @@ def loop_bilinear(grid, out_h, out_w):
     return out
 
 
-def loop_conv3x3(grid, kernel):
-    """Depthwise 3x3 cross-correlation with zero padding, nested lists."""
-    h, w, c = len(grid), len(grid[0]), len(grid[0][0])
-    out = [[[0.0] * c for _ in range(w)] for _ in range(h)]
-    for i in range(h):
-        for j in range(w):
-            for ch in range(c):
-                acc = 0.0
-                for u in range(3):
-                    for v in range(3):
-                        y, x = i + u - 1, j + v - 1
-                        if 0 <= y < h and 0 <= x < w:
-                            acc += kernel[u][v] * grid[y][x][ch]
-                out[i][j][ch] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # gradient checking
 

@@ -1,5 +1,5 @@
 """Attention operator tests: residual identities, straight-line oracles,
-pyramid plumbing, and gradient checks."""
+the layer norm, and gradient checks."""
 
 import tracemalloc
 import warnings
@@ -11,13 +11,12 @@ from stakit import attention as att
 from stakit.attention import (
     AttentionWeights,
     DualMlpWeights,
-    FeaturePyramid,
     MlpWeights,
     TokenBundle,
 )
 
-from helpers import (loop_attention, loop_bilinear, loop_conv3x3, loop_dual, loop_gelu, loop_gelu_grad,
-                     loop_grad_check)
+from helpers import (loop_attention, loop_dual, loop_gelu, loop_gelu_grad, loop_grad_check,
+                     loop_layer_norm)
 
 
 def weight_lists(w: AttentionWeights):
@@ -181,6 +180,80 @@ def test_pooling_rejects_more_queries_than_stack():
 
 
 # ---------------------------------------------------------------------------
+# layer norm
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (3, 5, 8)])
+def test_layer_norm_matches_loop_oracle_slice_by_slice(shape):
+    rng = np.random.default_rng(47)
+    x = rng.normal(scale=3.0, size=shape)
+    x[..., 0, :] = 2.5
+    out, _ = att._ln_forward(x)
+    assert np.all(out[..., 0, :] == 0.0)
+    for idx in np.ndindex(shape[:-2]):
+        expected = np.array(loop_layer_norm(x[idx].tolist(), att.LN_EPS))
+        assert np.allclose(out[idx], expected, atol=1e-12, rtol=0)
+        assert np.array_equal(out[idx], att._ln_forward(x[idx])[0])
+
+
+def test_layer_norm_two_point_row():
+    # mean 2, population std 1, so the row maps to (-1, 1) scaled by the epsilon
+    out, _ = att._ln_forward(np.array([[1.0, 3.0]]))
+    scale = 1.0 / np.sqrt(1.0 + att.LN_EPS)
+    assert np.allclose(out, [[-scale, scale]], atol=1e-15, rtol=0)
+
+
+def test_layer_norm_moments():
+    rng = np.random.default_rng(49)
+    x = rng.normal(size=(5, 8)) * 3.0 + 1.0
+    out, _ = att._ln_forward(x)
+    var = x.var(axis=1)
+    assert np.allclose(out.mean(axis=1), 0.0, atol=1e-12)
+    assert np.allclose(out.var(axis=1), var / (var + att.LN_EPS), atol=1e-12, rtol=0)
+
+
+def test_layer_norm_ignores_a_per_row_shift():
+    rng = np.random.default_rng(50)
+    x = rng.normal(size=(4, 6))
+    shifted = x + rng.normal(scale=10.0, size=(4, 1))
+    assert np.allclose(att._ln_forward(shifted)[0], att._ln_forward(x)[0], atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (4, 6)])
+def test_layer_norm_backward_matches_central_differences(shape):
+    rng = np.random.default_rng(51)
+    x = rng.normal(scale=2.0, size=shape)
+    g = rng.normal(size=shape)
+    _, cache = att._ln_forward(x)
+    analytic = att._ln_backward(g, cache)
+    numeric = np.zeros(shape)
+    h = 1e-6
+    for idx in np.ndindex(shape):
+        up, down = x.copy(), x.copy()
+        up[idx] += h
+        down[idx] -= h
+        numeric[idx] = (np.sum(g * att._ln_forward(up)[0]) - np.sum(g * att._ln_forward(down)[0])) / (2 * h)
+    assert np.allclose(analytic, numeric, atol=1e-7, rtol=0)
+
+
+def test_layer_norm_backward_rows_sum_to_zero():
+    # the forward pass ignores a per-row shift, so no gradient flows along it
+    rng = np.random.default_rng(52)
+    x = rng.normal(size=(4, 6))
+    _, cache = att._ln_forward(x)
+    dx = att._ln_backward(rng.normal(size=(4, 6)), cache)
+    assert np.allclose(dx.sum(axis=1), 0.0, atol=1e-12)
+
+
+def test_layer_norm_backward_of_a_row_constant_upstream_is_zero():
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=(3, 5))
+    _, cache = att._ln_forward(x)
+    g = np.repeat(rng.normal(size=(3, 1)), 5, axis=1)
+    assert np.allclose(att._ln_backward(g, cache), 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # dual attention
 
 
@@ -341,110 +414,6 @@ def test_fuse_class_tokens_length_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# conv and pyramids
-
-
-IDENTITY_KERNEL = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-
-
-def test_conv3x3_identity_kernel():
-    rng = np.random.default_rng(40)
-    grid = rng.normal(size=(3, 4, 2))
-    assert np.array_equal(att.conv3x3(grid, IDENTITY_KERNEL), grid)
-
-
-def test_conv3x3_matches_loop_oracle():
-    rng = np.random.default_rng(41)
-    grid = rng.normal(size=(3, 3, 2))
-    kernel = rng.normal(size=(3, 3))
-    out = att.conv3x3(grid, kernel)
-    expected = np.array(loop_conv3x3(grid.tolist(), kernel.tolist()))
-    assert np.allclose(out, expected, atol=1e-12, rtol=0)
-
-
-def test_conv3x3_validates_shapes():
-    with pytest.raises(ValueError, match="kernel"):
-        att.conv3x3(np.zeros((2, 2, 1)), np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="grid"):
-        att.conv3x3(np.zeros((2, 2)), IDENTITY_KERNEL)
-
-
-def test_build_pyramid_identity_single_level():
-    rng = np.random.default_rng(42)
-    tokens = rng.normal(size=(6, 3))
-    pyr = att.build_pyramid(TokenBundle(tokens), 2, 3, [(2, 3)], IDENTITY_KERNEL)
-    assert len(pyr.levels) == 1
-    assert np.array_equal(pyr.levels[0], tokens.reshape(2, 3, 3))
-
-
-def test_build_pyramid_constant_tokens():
-    tokens = np.full((4, 2), 1.25)
-    pyr = att.build_pyramid(TokenBundle(tokens), 2, 2, [(2, 2), (1, 1)], IDENTITY_KERNEL)
-    assert np.allclose(pyr.levels[0], 1.25, atol=1e-12)
-    assert np.allclose(pyr.levels[1], 1.25, atol=1e-12)
-
-
-def test_build_pyramid_upsample_matches_bilinear_oracle():
-    rng = np.random.default_rng(43)
-    tokens = rng.normal(size=(4, 2))
-    pyr = att.build_pyramid(TokenBundle(tokens), 2, 2, [(4, 4)], IDENTITY_KERNEL)
-    expected = np.array(loop_bilinear(tokens.reshape(2, 2, 2).tolist(), 4, 4))
-    assert np.allclose(pyr.levels[0], expected, atol=1e-12, rtol=0)
-
-
-def test_build_pyramid_validates_inputs():
-    tokens = TokenBundle(np.zeros((5, 2)))
-    with pytest.raises(ValueError, match="do not tile"):
-        att.build_pyramid(tokens, 2, 3, [(2, 3)], IDENTITY_KERNEL)
-    good = TokenBundle(np.zeros((6, 2)))
-    with pytest.raises(ValueError, match="at least one scale"):
-        att.build_pyramid(good, 2, 3, [], IDENTITY_KERNEL)
-    with pytest.raises(ValueError, match="kernels"):
-        att.build_pyramid(good, 2, 3, [(2, 3), (1, 1)], [IDENTITY_KERNEL])
-    with pytest.raises(ValueError, match="strictly decrease"):
-        att.build_pyramid(good, 2, 3, [(1, 1), (2, 3)], IDENTITY_KERNEL)
-
-
-def test_fuse_pyramids_identity_kernel_is_levelwise_sum():
-    rng = np.random.default_rng(44)
-    t_a = rng.normal(size=(4, 2))
-    t_b = rng.normal(size=(4, 2))
-    pyr_a = att.build_pyramid(TokenBundle(t_a), 2, 2, [(2, 2), (1, 1)], IDENTITY_KERNEL)
-    pyr_b = att.build_pyramid(TokenBundle(t_b), 2, 2, [(2, 2), (1, 1)], IDENTITY_KERNEL)
-    fused = att.fuse_pyramids(pyr_a, pyr_b)
-    for la, lb, lf in zip(pyr_a.levels, pyr_b.levels, fused.levels):
-        assert np.array_equal(lf, la + lb)
-
-
-def test_fuse_pyramids_zero_addend():
-    rng = np.random.default_rng(45)
-    t_a = rng.normal(size=(4, 2))
-    pyr_a = att.build_pyramid(TokenBundle(t_a), 2, 2, [(2, 2)], IDENTITY_KERNEL)
-    pyr_z = att.build_pyramid(TokenBundle(np.zeros((4, 2))), 2, 2, [(2, 2)], IDENTITY_KERNEL)
-    fused = att.fuse_pyramids(pyr_a, pyr_z)
-    assert np.array_equal(fused.levels[0], pyr_a.levels[0])
-
-
-def test_fuse_pyramids_shape_errors():
-    rng = np.random.default_rng(46)
-    one = att.build_pyramid(TokenBundle(rng.normal(size=(4, 2))), 2, 2, [(2, 2)], IDENTITY_KERNEL)
-    two = att.build_pyramid(TokenBundle(rng.normal(size=(4, 2))), 2, 2, [(2, 2), (1, 1)],
-                            IDENTITY_KERNEL)
-    other = att.build_pyramid(TokenBundle(rng.normal(size=(4, 2))), 2, 2, [(3, 1)], IDENTITY_KERNEL)
-    with pytest.raises(ValueError, match="level count"):
-        att.fuse_pyramids(one, two)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        att.fuse_pyramids(one, other)
-
-
-def test_feature_pyramid_validation():
-    with pytest.raises(ValueError, match="at least one level"):
-        FeaturePyramid(levels=[], kernels=[])
-    with pytest.raises(ValueError, match="kernels"):
-        FeaturePyramid(levels=[np.zeros((2, 2, 1))], kernels=[])
-
-
-# ---------------------------------------------------------------------------
 # gradient checking
 
 
@@ -548,6 +517,19 @@ def test_grad_check_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 4 * att._STACK_CHUNK * largest * 8, peak
+
+
+@pytest.mark.parametrize("op", ["mha", "frame_guided_pooling"])
+def test_grad_check_ignores_class_tokens_and_positions_the_operator_does_not_read(op):
+    (queries, keys_values), w = att.random_instance(op, 3)
+    rng = np.random.default_rng(48)
+
+    def dressed(b):
+        n, d = b.tokens.shape
+        return TokenBundle(b.tokens, class_token=rng.normal(size=d), positional=rng.normal(size=(n + 1, d)))
+
+    plain = att.grad_check(op, (queries, keys_values), w)
+    assert att.grad_check(op, (dressed(queries), dressed(keys_values)), w) == plain
 
 
 def test_random_instance_is_reproducible():

@@ -28,7 +28,7 @@ def roundtrip_bytes(tmp_path, name, write, read):
 
 
 # ---------------------------------------------------------------------------
-# matrices, grids, weights, distributions
+# matrices, weights, distributions
 
 
 def test_matrix_round_trip_is_exact():
@@ -51,11 +51,30 @@ def test_matrix_from_json_missing_field():
     assert info.value.field == "cols"
 
 
-def test_grid_round_trip_is_exact():
-    rng = np.random.default_rng(101)
-    g = rng.normal(size=(2, 3, 4))
-    doc = json.loads(json.dumps(fm.grid_to_json(g)))
-    assert np.array_equal(fm.grid_from_json(doc), g)
+def test_matrix_from_json_rejects_non_finite_entries():
+    with pytest.raises(fm.InputError, match="finite") as info:
+        fm.matrix_from_json({"rows": 2, "cols": 1, "data": [1.0, math.inf]}, path="weights.json")
+    assert info.value.field == "data"
+    assert info.value.path == "weights.json"
+
+
+@pytest.mark.parametrize("rows", ["2", 2.5, -1, True])
+def test_matrix_from_json_rejects_a_bad_row_count(rows):
+    with pytest.raises(fm.InputError, match="nonnegative integer") as info:
+        fm.matrix_from_json({"rows": rows, "cols": 1, "data": [1.0, 2.0]})
+    assert info.value.field == "rows"
+
+
+def test_matrix_from_json_rejects_a_non_object():
+    with pytest.raises(fm.InputError, match="JSON object") as info:
+        fm.matrix_from_json([1.0, 2.0], path="weights.json")
+    assert info.value.path == "weights.json"
+
+
+def test_matrix_from_json_zero_rows():
+    m = fm.matrix_from_json({"rows": 0, "cols": 3, "data": []})
+    assert m.shape == (0, 3)
+    assert m.dtype == np.float64
 
 
 def test_attention_weights_round_trip():

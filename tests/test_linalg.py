@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import stakit
 from stakit import linalg
 
-from helpers import loop_bilinear, loop_layer_norm, loop_matmul, loop_softmax_row
+from helpers import loop_bilinear, loop_matmul, loop_softmax_row
 
 
 @st.composite
@@ -262,56 +262,6 @@ def test_softmax_shift_invariance(m, shift):
 
 
 # ---------------------------------------------------------------------------
-# layer norm
-
-
-def test_layer_norm_constant_row_maps_to_beta():
-    out = linalg.layer_norm(np.array([[5.0, 5.0, 5.0]]), np.ones(3), np.zeros(3))
-    assert np.array_equal(out, np.zeros((1, 3)))
-    shifted = linalg.layer_norm(np.array([[5.0, 5.0, 5.0]]), np.ones(3), np.full(3, 2.5))
-    assert np.array_equal(shifted, np.full((1, 3), 2.5))
-
-
-def test_layer_norm_two_point_row():
-    # mean 2, population std 1, so the row maps to (-1, 1) as eps vanishes
-    out = linalg.layer_norm(np.array([[1.0, 3.0]]), np.ones(2), np.zeros(2), eps=1e-12)
-    assert np.allclose(out, [[-1.0, 1.0]], atol=1e-9, rtol=0)
-
-
-def test_layer_norm_gamma_zero_collapses_to_beta():
-    m = np.array([[1.0, 2.0, 3.0], [9.0, -1.0, 4.0]])
-    beta = np.array([0.5, -0.5, 2.0])
-    out = linalg.layer_norm(m, np.zeros(3), beta)
-    assert np.array_equal(out, np.broadcast_to(beta, (2, 3)))
-
-
-def test_layer_norm_matches_loop_oracle():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(4, 6))
-    out = linalg.layer_norm(m, np.ones(6), np.zeros(6), eps=1e-6)
-    expected = np.array(loop_layer_norm(m.tolist(), 1e-6))
-    assert np.allclose(out, expected, atol=1e-12, rtol=0)
-
-
-def test_layer_norm_moments():
-    rng = np.random.default_rng(4)
-    m = rng.normal(size=(5, 8)) * 3.0 + 1.0
-    out = linalg.layer_norm(m, np.ones(8), np.zeros(8), eps=1e-12)
-    assert np.allclose(out.mean(axis=1), 0.0, atol=1e-9)
-    assert np.allclose(out.var(axis=1), 1.0, atol=1e-9)
-
-
-def test_layer_norm_affine_shape_error():
-    with pytest.raises(ValueError, match="affine shape mismatch"):
-        linalg.layer_norm(np.zeros((2, 3)), np.ones(2), np.zeros(3))
-
-
-def test_layer_norm_eps_must_be_positive():
-    with pytest.raises(ValueError, match="eps"):
-        linalg.layer_norm(np.zeros((1, 2)), np.ones(2), np.zeros(2), eps=0.0)
-
-
-# ---------------------------------------------------------------------------
 # bilinear resize
 
 
@@ -363,6 +313,13 @@ def test_bilinear_rejects_bad_sizes():
         linalg.bilinear_resize(np.zeros((2, 2)), 2, 2)
 
 
+def test_bilinear_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="no pixels"):
+        linalg.bilinear_resize(np.zeros((0, 2, 1)), 2, 2)
+    with pytest.raises(ValueError, match="no pixels"):
+        linalg.bilinear_resize(np.zeros((2, 0, 1)), 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # coercion helpers
 
@@ -374,8 +331,8 @@ def test_as_matrix_rejects_nan_and_wrong_ndim():
         linalg.as_matrix([1.0, 2.0])
 
 
-def test_as_grid_rejects_inf_and_wrong_ndim():
+def test_as_matrix_rejects_inf_and_a_grid():
     with pytest.raises(ValueError, match="finite"):
-        linalg.as_grid([[[math.inf]]])
-    with pytest.raises(ValueError):
-        linalg.as_grid([[1.0]])
+        linalg.as_matrix([[-math.inf, 1.0]])
+    with pytest.raises(ValueError, match="ndim=3"):
+        linalg.as_matrix([[[1.0]]])
