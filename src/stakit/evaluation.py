@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "GroundTruth",
     "MatchCriterion",
@@ -116,11 +118,6 @@ class EvalReport:
         }
 
 
-def _top_k(dets_with_idx: list, k: int) -> list:
-    ranked = sorted(dets_with_idx, key=lambda pair: -pair[0].score)
-    return ranked[:k]
-
-
 def assign_matches(dets_sorted: list, gts: list, iou_threshold: float) -> list:
     """Greedy box assignment for one image and one noun class.
 
@@ -146,48 +143,42 @@ def assign_matches(dets_sorted: list, gts: list, iou_threshold: float) -> list:
     return assigned
 
 
-def _average_precision(rows: list, npos: int) -> float:
-    """All-point interpolated AP from (score, order, is_tp) rows."""
-    if not rows:
-        return 0.0
-    rows = sorted(rows, key=lambda r: (-r[0], r[1]))
-    recalls = []
-    precisions = []
-    tp = 0
-    fp = 0
-    for _, _, flag in rows:
-        if flag:
-            tp += 1
-        else:
-            fp += 1
-        recalls.append(tp / npos)
-        precisions.append(tp / (tp + fp))
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
-    ap = 0.0
-    prev = 0.0
-    for r, p in zip(recalls, precisions):
-        if r > prev:
-            ap += (r - prev) * p
-            prev = r
-    return ap
+def _average_precisions(classes: np.ndarray, flags: np.ndarray, npos: list) -> np.ndarray:
+    """All-point interpolated AP of every (criterion, class), in one array pass.
 
-
-def _image_assignments(retained: list, gts_img: list, iou_threshold: float) -> list:
-    """(detection, index, assigned ground truth or None) for one image's kept detections."""
-    by_class: dict = {}
-    for det, idx in retained:
-        by_class.setdefault(det.noun, []).append((det, idx))
-    gt_by_class: dict = {}
-    for gt in gts_img:
-        gt_by_class.setdefault(gt.noun, []).append(gt)
-    matches = []
-    for cls, dets_cls in by_class.items():
-        gts_cls = gt_by_class.get(cls, [])
-        assigned = assign_matches([d for d, _ in dets_cls], gts_cls, iou_threshold)
-        for (det, idx), j in zip(dets_cls, assigned):
-            matches.append((det, idx, gts_cls[j] if j is not None else None))
-    return matches
+    Row i of the ranking is a detection of class classes[i], a true positive
+    (a hit) under criterion c when flags[i, c]; the rows of each class come
+    in rank order (descending score, then input order), and npos[k] counts
+    class k's ground truth.  The loop over one class's ranks takes recall
+    and precision at each rank, runs the precision envelope from the last
+    rank back, and sums each recall step times the envelope from the first
+    rank on.  Recall steps at hits only, and a miss at rank j after the
+    k-th hit has precision k / j, at most the k / r of that hit at rank r
+    (in float too: division rounds monotonically), so the envelope at
+    every hit is the same over the hits alone.  Each
+    (criterion, class) is therefore one row of hits, padded with zeros to
+    the most hits of any row, and every step keeps the loop's float
+    operations in their order.  Returns a (criteria, classes) array; a
+    class without hits scores 0.
+    """
+    n_criteria, n_classes = flags.shape[1], len(npos)
+    counts = np.bincount(classes, minlength=n_classes)
+    rank = np.arange(1, len(classes) + 1) - (np.cumsum(counts) - counts)[classes]  # within the class, from 1
+    criterion, row = np.nonzero(flags.T)  # hits by criterion, then in rank order within each class
+    segment = criterion * n_classes + classes[row]
+    hits = np.bincount(segment, minlength=n_criteria * n_classes)
+    ap = np.zeros(n_criteria * n_classes)
+    if len(segment):
+        tp = np.arange(1, len(segment) + 1) - (np.cumsum(hits) - hits)[segment]  # hits so far in the row
+        slot = (segment, tp - 1)
+        envelope = np.zeros((len(hits), hits.max()))
+        envelope[slot] = tp / rank[row]
+        envelope = np.maximum.accumulate(envelope[:, ::-1], axis=1)[:, ::-1]
+        total = np.asarray(npos)[classes[row]]
+        steps = np.zeros_like(envelope)
+        steps[slot] = (tp / total - (tp - 1) / total) * envelope[slot]
+        ap = np.add.accumulate(steps, axis=1)[:, -1]
+    return ap.reshape(n_criteria, n_classes)
 
 
 def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int = 5,
@@ -216,51 +207,55 @@ def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int 
     if len(set(names)) != len(names):
         raise ValueError(f"criterion names must be unique, got {names}")
 
-    gts_by_uid: dict = {}
-    for gt in gts:
-        gts_by_uid.setdefault(gt.uid, []).append(gt)
-    for det in dets:
-        if det.uid not in gts_by_uid:
-            raise ValueError(f"detection references unknown image {det.uid!r}")
-
-    dets_by_uid: dict = {}
-    for idx, det in enumerate(dets):
-        dets_by_uid.setdefault(det.uid, []).append((det, idx))
-
-    retained_by_uid = {uid: _top_k(pairs, top_k) for uid, pairs in dets_by_uid.items()}
-    kept = sum(len(v) for v in retained_by_uid.values())
-
-    per_image = [_image_assignments(retained_by_uid[uid], gts_by_uid[uid], iou_threshold)
-                 for uid in sorted(retained_by_uid)]
-
+    image_of: dict = {}  # image uid -> its position
+    gts_by_key: dict = {}  # (image uid, class) -> its ground truths, in input order
     npos: dict = {}
     for gt in gts:
+        image_of.setdefault(gt.uid, len(image_of))
+        gts_by_key.setdefault((gt.uid, gt.noun), []).append(gt)
         npos[gt.noun] = npos.get(gt.noun, 0) + 1
+    for det in dets:
+        if det.uid not in image_of:
+            raise ValueError(f"detection references unknown image {det.uid!r}")
     classes = sorted(npos, key=str)
+    position = {cls: k for k, cls in enumerate(classes)}
 
-    rows: dict = {c.name: {cls: [] for cls in classes} for c in criteria}
-    for assignments in per_image:
-        for crit in criteria:
-            for det, idx, gt in assignments:
-                if det.noun not in npos:
-                    continue  # predicted class absent from ground truth
-                flag = gt is not None and crit.accepts(det, gt, ttc_tolerance)
-                rows[crit.name][det.noun].append((det.score, idx, flag))
+    # the top_k highest-scored detections of each image, ties toward input order
+    image = np.fromiter([image_of[det.uid] for det in dets], np.intp, len(dets))
+    scores = np.fromiter([det.score for det in dets], np.float64, len(dets))
+    ranked = np.lexsort((-scores, image))  # by image, then descending score; lexsort is stable
+    counts = np.bincount(image, minlength=len(image_of))
+    place = np.arange(len(dets)) - (np.cumsum(counts) - counts)[image[ranked]]  # rank within the image
+    kept = ranked[place < top_k].tolist()
 
-    per_class = {}
-    maps = {}
-    for crit in criteria:
-        table = {cls: _average_precision(rows[crit.name][cls], npos[cls]) for cls in classes}
-        per_class[crit.name] = table
-        total = 0.0
-        for cls in classes:
-            total += table[cls]
-        maps[crit.name] = total / len(classes)
+    # one row per kept detection: its class (-1 if absent from the ground truth) and a flag per criterion
+    row_class = np.fromiter([position.get(dets[idx].noun, -1) for idx in kept], np.intp, len(kept))
+    row_flags = [(False,) * len(criteria)] * len(kept)
+    # the rows with a same-class ground truth in their image, grouped by both, in descending score order
+    groups: dict = {}
+    for row, idx in enumerate(kept):
+        key = (dets[idx].uid, dets[idx].noun)
+        if key in gts_by_key:
+            groups.setdefault(key, []).append(row)
+    for key, members in groups.items():
+        group = [dets[kept[row]] for row in members]
+        gts_cls = gts_by_key[key]
+        for row, det, j in zip(members, group, assign_matches(group, gts_cls, iou_threshold)):
+            if j is not None:
+                row_flags[row] = tuple(crit.accepts(det, gts_cls[j], ttc_tolerance) for crit in criteria)
+    rows = np.flatnonzero(row_class >= 0)
+    index = np.array(kept, dtype=np.intp)[rows]
+    order = rows[np.lexsort((index, -scores[index], row_class[rows]))]
+    flags = np.array(row_flags, dtype=bool).reshape(len(kept), len(criteria))[order]
+    ap = _average_precisions(row_class[order], flags, [npos[cls] for cls in classes])
+    per_class = {name: dict(zip(classes, row)) for name, row in zip(names, ap.tolist())}
+    # the mean adds the classes in order, left to right, as a loop would
+    maps = dict(zip(names, (np.add.accumulate(ap, axis=1)[:, -1] / len(classes)).tolist()))
 
     return EvalReport(
         maps=maps,
         per_class=per_class,
-        counts={"images": len(gts_by_uid), "ground_truth": len(gts), "predictions_kept": kept},
+        counts={"images": len(image_of), "ground_truth": len(gts), "predictions_kept": len(kept)},
         params={"top_k": top_k,
                 "iou_thresholds": [iou_threshold],
                 "criteria": names},

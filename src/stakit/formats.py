@@ -3,9 +3,12 @@
 Writers emit keys in a fixed order and floats through json's shortest
 round-trip repr, so writing, reading and writing again reproduces the
 file byte for byte.  Readers pass each field through one converter that
-names the field when it fails.  JSON-lines and CSV files go through one
-record loop that streams the file line by line as UTF-8, so memory holds
-one line plus the records built, and adds file and line to any failure.
+names the field when it fails; the detection and ground-truth readers,
+which batch evaluation runs on every shard, read fields directly and use
+the converters only to rebuild a record that fails.  JSON-lines and CSV
+files go through one record loop that streams the file line by line as
+UTF-8, so memory holds one line plus the records built, and adds file
+and line to any failure.
 """
 
 from __future__ import annotations
@@ -410,8 +413,9 @@ def _detection_dict(d: Detection) -> dict:
     return out
 
 
-def read_detections(path) -> list[Detection]:
-    return list(_records(path, lambda obj: Detection(
+def _detection_fields(obj) -> Detection:
+    """A detection built field by field through the converters, so a failure names its field."""
+    return Detection(
         uid=str(_require(obj, "uid")),
         box=_convert(obj, "box", _box),
         noun=_convert(obj, "noun", _label),
@@ -420,21 +424,52 @@ def read_detections(path) -> list[Detection]:
         score=_convert(obj, "score", float),
         noun_probs=_convert(obj, "noun_probs", _vector, default=None),
         verb_probs=_convert(obj, "verb_probs", _vector, default=None),
-    )))
+    )
+
+
+def _detection(obj) -> Detection:
+    """_detection_fields(obj) read directly; a record that fails is rebuilt by it, to locate the fault."""
+    try:
+        uid = str(obj["uid"])  # first, so that a line holding no JSON object fails here
+        noun_probs, verb_probs = obj.get("noun_probs"), obj.get("verb_probs")
+        return Detection(uid, _box(obj["box"]), _label(obj["noun"]), _label(obj["verb"]),
+                         float(obj["ttc"]), float(obj["score"]),
+                         None if noun_probs is None else _vector(noun_probs),
+                         None if verb_probs is None else _vector(verb_probs))
+    except (LookupError, *_BAD_VALUE):
+        return _detection_fields(obj)
+
+
+def read_detections(path) -> list[Detection]:
+    return list(_records(path, _detection))
 
 
 def write_detections(path, dets: list[Detection]) -> None:
     _write_lines(path, (_detection_dict(d) for d in dets))
 
 
-def read_ground_truth(path) -> list[GroundTruth]:
-    return list(_records(path, lambda obj: GroundTruth(
+def _ground_truth_fields(obj) -> GroundTruth:
+    """A ground-truth record built field by field through the converters, so a failure names its field."""
+    return GroundTruth(
         uid=str(_require(obj, "uid")),
         box=_convert(obj, "box", _box),
         noun=_convert(obj, "noun", _label),
         verb=_convert(obj, "verb", _label),
         ttc=_convert(obj, "ttc", float),
-    )))
+    )
+
+
+def _ground_truth(obj) -> GroundTruth:
+    """_ground_truth_fields(obj) read directly; a record that fails is rebuilt by it, to locate the fault."""
+    try:
+        return GroundTruth(str(obj["uid"]), _box(obj["box"]), _label(obj["noun"]), _label(obj["verb"]),
+                           float(obj["ttc"]))
+    except (LookupError, *_BAD_VALUE):
+        return _ground_truth_fields(obj)
+
+
+def read_ground_truth(path) -> list[GroundTruth]:
+    return list(_records(path, _ground_truth))
 
 
 def write_ground_truth(path, gts: list[GroundTruth]) -> None:

@@ -9,6 +9,7 @@ across images.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,52 +94,76 @@ class Detection:
         return (0.5 * (x1 + x2), 0.5 * (y1 + y2))
 
 
+def _sample(cells: np.ndarray, layout: np.ndarray, points: np.ndarray, bilinear: bool) -> np.ndarray:
+    """Probability at each image point points[i] = (x, y), in one array pass.
+
+    layout[i] = (start, h, w) places point i's map: an (h, w) grid stored
+    row-major in cells from start on; one (3,) layout serves every point.
+    Nearest sampling reads the cell containing the point, bilinear sampling
+    interpolates between the cell centres at (col + 0.5, row + 0.5), and
+    points outside the grid clamp to its border cells.  Clamping happens in
+    float, before the cast to an index, so any finite or infinite
+    coordinate is safe.
+    """
+    if np.isnan(points).any():
+        raise ValueError("sampling point must not be NaN")
+    start, w = layout[..., 0], layout[..., 2]
+    size = layout[..., :0:-1]  # (w, h), the bounds of (x, y)
+    if not bilinear:
+        col, row = np.minimum(np.maximum(np.floor(points), 0.0), size - 1.0).astype(np.intp).T
+        return cells[start + row * w + col]
+    s = np.minimum(np.maximum(points - 0.5, 0.0), size - 1.0)
+    fx, fy = (s - np.floor(s)).T
+    lo = s.astype(np.intp)  # s >= 0, so truncation is floor
+    (x0, y0), (x1, y1) = lo.T, np.minimum(lo + 1, size - 1).T
+    row0, row1 = start + y0 * w, start + y1 * w
+    top = cells[row0 + x0] * (1 - fx) + cells[row0 + x1] * fx
+    bot = cells[row1 + x0] * (1 - fx) + cells[row1 + x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
 def sample_at(hmap: HotspotMap, x: float, y: float, *, bilinear: bool = False) -> float:
     """Probability at image point (x, y).
 
     Default is a nearest-cell lookup: the value of the grid cell containing
-    the point, with out-of-range points clamped to the border cells.  The
-    bilinear variant interpolates between cell centres instead.
+    the point, with out-of-range points, infinite ones too, clamped to the
+    border cells.  The bilinear variant interpolates between cell centres
+    instead.  A NaN coordinate raises ValueError.
     """
-    if bilinear:
-        grid = hmap.p[:, :, None]
-        # cell centres sit at (col + 0.5, row + 0.5)
-        sx = min(max(x - 0.5, 0.0), hmap.w - 1.0)
-        sy = min(max(y - 0.5, 0.0), hmap.h - 1.0)
-        x0, y0 = int(math.floor(sx)), int(math.floor(sy))
-        x1, y1 = min(x0 + 1, hmap.w - 1), min(y0 + 1, hmap.h - 1)
-        fx, fy = sx - x0, sy - y0
-        top = grid[y0, x0, 0] * (1 - fx) + grid[y0, x1, 0] * fx
-        bot = grid[y1, x0, 0] * (1 - fx) + grid[y1, x1, 0] * fx
-        return float(top * (1 - fy) + bot * fy)
-    col = int(min(max(math.floor(x), 0), hmap.w - 1))
-    row = int(min(max(math.floor(y), 0), hmap.h - 1))
-    return float(hmap.p[row, col])
+    layout = np.array([0, hmap.h, hmap.w])
+    return float(_sample(hmap.p.ravel(), layout, np.array([[x, y]], dtype=np.float64), bilinear)[0])
 
 
 def reweight(detections, maps: dict[str, HotspotMap], *, bilinear: bool = False) -> list:
     """Multiply each detection's score by the hotspot value at its centre.
 
-    Every detection uid must have a map; input order is preserved and the
-    scores are not renormalised.
+    Every detection uid must have a map, or the earliest detection without
+    one is named before any score is computed.  Input order is preserved
+    and the scores are not renormalised.  All detections are sampled in
+    one array pass, whatever the shapes of their maps.
     """
-    out = []
+    detections = list(detections)
+    slot_of: dict = {}  # uid -> position of its map in used
+    used, slots = [], []
     for det in detections:
-        hmap = maps.get(det.uid)
-        if hmap is None:
-            raise ValueError(f"no hotspot map for image {det.uid!r}")
-        cx, cy = det.center
-        out.append(Detection(
-            uid=det.uid,
-            box=det.box,
-            noun=det.noun,
-            verb=det.verb,
-            ttc=det.ttc,
-            score=det.score * sample_at(hmap, cx, cy, bilinear=bilinear),
-            noun_probs=det.noun_probs,
-            verb_probs=det.verb_probs,
-        ))
-    return out
+        slot = slot_of.get(det.uid)
+        if slot is None:
+            hmap = maps.get(det.uid)
+            if hmap is None:
+                raise ValueError(f"no hotspot map for image {det.uid!r}")
+            slot = slot_of[det.uid] = len(used)
+            used.append(hmap)
+        slots.append(slot)
+    if not detections:
+        return []
+    starts = itertools.accumulate((hmap.p.size for hmap in used), initial=0)
+    layout = np.array([(start, *hmap.p.shape) for start, hmap in zip(starts, used)])[slots]
+    centers = np.fromiter(itertools.chain.from_iterable([det.center for det in detections]), np.float64,
+                          2 * len(detections)).reshape(-1, 2)
+    values = _sample(np.concatenate([hmap.p.ravel() for hmap in used]), layout, centers, bilinear)
+    scores = np.fromiter([det.score for det in detections], np.float64, len(detections)) * values
+    return [Detection(det.uid, det.box, det.noun, det.verb, det.ttc, score, det.noun_probs, det.verb_probs)
+            for det, score in zip(detections, scores.tolist())]
 
 
 def upsample_map(hmap: HotspotMap, h: int, w: int) -> HotspotMap:

@@ -236,8 +236,15 @@ def loop_iou(a, b):
     return inter / (area_a + area_b - inter)
 
 
-def _loop_ap(rows, npos):
-    """All-point AP from (score, original_index, is_tp) rows."""
+def loop_average_precision(rows, npos):
+    """All-point interpolated AP from (score, original_index, is_tp) rows.
+
+    Rows are ranked by descending score, then index; recall and precision
+    are taken at each rank, the precision envelope runs from the last rank
+    back, and the AP sums each recall step times the envelope from the
+    first rank on.  This is the per-(criterion, class) loop whose bits
+    evaluate's array pass must reproduce.
+    """
     if not rows:
         return 0.0
     rows = sorted(rows, key=lambda r: (-r[0], r[1]))
@@ -326,7 +333,7 @@ def loop_evaluate(dets, gts, criteria, top_k):
                     if ok and need_ttc and abs(det[4] - gt[4]) > ttc_tol:
                         ok = False
                     rows.append((det[5], idx, ok))
-            table[cls] = _loop_ap(rows, npos[cls])
+            table[cls] = loop_average_precision(rows, npos[cls])
         per_class[name] = table
         total = 0.0
         for cls in classes:
@@ -336,7 +343,29 @@ def loop_evaluate(dets, gts, criteria, top_k):
 
 
 # ---------------------------------------------------------------------------
-# hotspot rasterisation
+# hotspot sampling and rasterisation
+
+
+def loop_sample_at(grid, x, y, bilinear=False):
+    """Probability of an (h, w) nested-list grid at image point (x, y), one point at a time.
+
+    Nearest: the cell containing the point, out-of-range points clamped to
+    the border cells.  Bilinear: interpolation between the cell centres at
+    (col + 0.5, row + 0.5).  math.floor takes a float of any size exactly.
+    """
+    h, w = len(grid), len(grid[0])
+    if bilinear:
+        sx = min(max(x - 0.5, 0.0), w - 1.0)
+        sy = min(max(y - 0.5, 0.0), h - 1.0)
+        x0, y0 = int(math.floor(sx)), int(math.floor(sy))
+        x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+        fx, fy = sx - x0, sy - y0
+        top = grid[y0][x0] * (1 - fx) + grid[y0][x1] * fx
+        bot = grid[y1][x0] * (1 - fx) + grid[y1][x1] * fx
+        return top * (1 - fy) + bot * fy
+    col = int(min(max(math.floor(x), 0), w - 1))
+    row = int(min(max(math.floor(y), 0), h - 1))
+    return grid[row][col]
 
 
 def loop_gaussian_map(h, w, centers):

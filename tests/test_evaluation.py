@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stakit import evaluation as ev
 from stakit.evaluation import GroundTruth, MatchCriterion
@@ -282,6 +284,68 @@ def test_evaluate_matches_brute_force_oracle(iou_threshold, ttc_tolerance):
         assert report.maps == maps
         assert report.per_class == per_class
         assert report.params["iou_thresholds"] == [iou_threshold]
+
+
+def edge_case_instance(rng, n_images, quantize):
+    """Random detections and ground truth holding every AP edge case at once.
+
+    Labels mix integers and strings, two of which print alike (1 and "1"),
+    so they sort together but stay two classes.  Class "unpredicted" has
+    ground truth but no detection, class "missed" has detections that never
+    overlap its ground truth (all false positives), and class "ghost" is
+    predicted but absent from the ground truth.  Quantized scores tie often.
+    """
+    labels = [0, 1, "1", "cup"]
+    score = (lambda: float(rng.integers(1, 5)) / 4.0) if quantize else (lambda: float(rng.uniform(0.05, 1.0)))
+    dets, gts = [], []
+    for i in range(n_images):
+        uid = f"img{i}"
+        image_gts = [gt(uid, (0.0, 0.0, 4.0, 4.0), "unpredicted", "take", 1.0),
+                     gt(uid, (0.0, 0.0, 4.0, 4.0), "missed", "take", 1.0)]
+        for _ in range(int(rng.integers(1, 4))):
+            x, y = rng.uniform(0, 20, size=2)
+            image_gts.append(gt(uid, (x, y, x + rng.uniform(2, 8), y + rng.uniform(2, 8)),
+                                labels[int(rng.integers(len(labels)))], str(rng.choice(["take", "cut"])),
+                                float(rng.uniform(0.3, 2.0))))
+        gts += image_gts
+        for _ in range(int(rng.integers(0, 8))):
+            roll = rng.random()
+            if roll < 0.5:  # a shifted copy of a ground truth, often with its labels
+                g = image_gts[int(rng.integers(2, len(image_gts)))]
+                dx = float(rng.uniform(-1.5, 1.5))
+                box = (g.box[0] + dx, g.box[1], g.box[2] + dx, g.box[3])
+                noun = g.noun if rng.random() < 0.8 else labels[int(rng.integers(len(labels)))]
+                verb = g.verb if rng.random() < 0.7 else "cut"
+                ttc = max(0.05, g.ttc + float(rng.uniform(-0.4, 0.4)))
+            else:
+                x, y = rng.uniform(30, 50, size=2)  # far from every ground-truth box
+                box = (x, y, x + 3.0, y + 3.0)
+                noun = ["missed", "ghost", *labels][int(rng.integers(len(labels) + 2))]
+                verb, ttc = "take", 1.0
+            dets.append(det(uid, box, noun, verb, ttc, score()))
+    return dets, gts
+
+
+def bits(table):
+    return {key: value.hex() if isinstance(value, float) else bits(value) for key, value in table.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_images=st.integers(1, 5), quantize=st.booleans(),
+       top_k=st.sampled_from([1, 5]), thresholds=st.sampled_from([(0.5, 0.25), (0.3, 0.1)]))
+def test_evaluate_equals_the_per_class_loop_oracle_bit_for_bit(seed, n_images, quantize, top_k, thresholds):
+    dets, gts = edge_case_instance(np.random.default_rng(seed), n_images, quantize)
+    criteria = ev.standard_criteria()
+    report = ev.evaluate(dets, gts, criteria, top_k=top_k, iou_threshold=thresholds[0],
+                         ttc_tolerance=thresholds[1])
+    det_t, gt_t = as_tuples(dets, gts)
+    per_class, maps = loop_evaluate(det_t, gt_t, criteria_tuples(criteria, *thresholds), top_k=top_k)
+    assert bits(report.per_class) == bits(per_class)
+    assert bits(report.maps) == bits(maps)
+    assert list(report.per_class["noun"]) == list(per_class["noun"])  # class order too
+    assert all(report.per_class[name]["unpredicted"] == 0.0 for name in NAMES)
+    assert all(report.per_class[name]["missed"] == 0.0 for name in NAMES)
+    assert "ghost" not in report.per_class["noun"]
 
 
 def test_monotone_nesting_of_criteria():

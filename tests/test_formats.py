@@ -310,6 +310,51 @@ def test_detection_readers_name_unreadable_field(tmp_path, read, field, value):
     assert (info.value.path, info.value.line, info.value.field) == (str(path), 1, field)
 
 
+GOOD_DETECTION = '{"uid": "a", "box": [0, 0, 1, 1], "noun": 1, "verb": 2, "ttc": 1.0, "score": 0.5}'
+
+# (bad line 2, the full message of both readers or, where ground truth lacks the field, of read_detections)
+PINNED_READER_ERRORS = {
+    "missing-uid": ('{"box": [0, 0, 1, 1], "noun": 1, "verb": 2, "ttc": 1.0, "score": 0.5}',
+                    "line 2, field 'uid': missing required field"),
+    "box-of-3": ('{"uid": "a", "box": [0, 0, 1], "noun": 1, "verb": 2, "ttc": 1.0, "score": 0.5}',
+                 "line 2, field 'box': box must be [x1, y1, x2, y2], got [0, 0, 1]"),
+    "box-string": ('{"uid": "a", "box": [0, 0, "x", 1], "noun": 1, "verb": 2, "ttc": 1.0, "score": 0.5}',
+                   "line 2, field 'box': could not convert string to float: 'x'"),
+    "noun-1.5": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1.5, "verb": 2, "ttc": 1.0, "score": 0.5}',
+                 "line 2, field 'noun': expected a string or integer label, got 1.5"),
+    "verb-true": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1, "verb": true, "ttc": 1.0, "score": 0.5}',
+                  "line 2, field 'verb': expected a string or integer label, got True"),
+    "ttc-string": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1, "verb": 2, "ttc": "x", "score": 0.5}',
+                   "line 2, field 'ttc': could not convert string to float: 'x'"),
+    "ttc-1e400": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1, "verb": 2, "ttc": 1e400, "score": 0.5}',
+                  "line 2: time to contact must be finite and positive, got inf"),
+    "list-line": ("[1, 2]", "line 2: expected a JSON object, got [1, 2]"),
+    "x1-above-x2": ('{"uid": "a", "box": [2, 0, 1, 1], "noun": 1, "verb": 2, "ttc": 1.0, "score": 0.5}',
+                    "line 2: box must be finite with x1 < x2 and y1 < y2, got (2.0, 0.0, 1.0, 1.0)"),
+}
+PINNED_DETECTION_ERRORS = {
+    "score-null": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1, "verb": 2, "ttc": 1.0, "score": null}',
+                   "line 2, field 'score': float() argument must be a string or a real number, not 'NoneType'"),
+    "noun_probs-NaN": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1, "verb": 2, "ttc": 1.0, "score": 0.5, '
+                       '"noun_probs": [NaN]}',
+                       "line 2, field 'noun_probs': entries must be finite numbers, got [nan]"),
+}
+
+
+@pytest.mark.parametrize("read, line, message", [
+    *[pytest.param(read, *case, id=f"{read.__name__}-{name}") for name, case in PINNED_READER_ERRORS.items()
+      for read in (fm.read_detections, fm.read_ground_truth)],
+    *[pytest.param(fm.read_detections, *case, id=f"read_detections-{name}")
+      for name, case in PINNED_DETECTION_ERRORS.items()],
+])
+def test_detection_readers_report_the_pinned_located_error(tmp_path, read, line, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text(GOOD_DETECTION + "\n" + line + "\n")
+    with pytest.raises(fm.InputError) as info:
+        read(path)
+    assert str(info.value) == f"{path}, {message}"
+
+
 def test_ground_truth_round_trip_and_extra_fields(tmp_path):
     gts = [GroundTruth("img0", (0.0, 0.0, 5.0, 5.0), "cup", "take", 0.8)]
     path_a = tmp_path / "gt.a.jsonl"

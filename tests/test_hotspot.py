@@ -1,12 +1,16 @@
 """Hotspot map sampling and score re-weighting tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stakit import hotspot as hs
 from stakit.hotspot import Detection, HotspotMap
 
-from helpers import loop_gaussian_map
+from helpers import loop_gaussian_map, loop_sample_at
 
 
 def det(uid="img0", box=(2.0, 2.0, 6.0, 6.0), score=0.5, noun=0, verb=0, ttc=1.0):
@@ -85,8 +89,78 @@ def test_sample_bilinear_midpoint_averages_neighbours():
     assert abs(hs.sample_at(m, 1.0, 1.0, bilinear=True) - 0.25) < 1e-15
 
 
+def random_map(rng, uid, h, w):
+    p = rng.random((h, w))
+    return HotspotMap(uid, p / p.sum())
+
+
+# a point inside the grid, outside it, on an integer cell edge, on a cell centre, or far out
+COORDINATE = st.one_of(
+    st.floats(-3.0, 43.0),
+    st.integers(-2, 42).map(float),
+    st.integers(-2, 42).map(lambda i: i + 0.5),
+    st.sampled_from([1e300, -1e300]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       x=COORDINATE, y=COORDINATE, bilinear=st.booleans())
+def test_sample_at_equals_the_scalar_loop_bit_for_bit(h, w, seed, x, y, bilinear):
+    m = random_map(np.random.default_rng(seed), "u", h, w)
+    got = hs.sample_at(m, x, y, bilinear=bilinear)
+    assert type(got) is float
+    assert got.hex() == loop_sample_at(m.p.tolist(), x, y, bilinear).hex()
+
+
+@pytest.mark.parametrize("bilinear", [False, True])
+def test_sample_clamps_infinite_points_and_rejects_nan(bilinear):
+    m = HotspotMap("u", np.array([[0.1, 0.2], [0.3, 0.4]]))
+    assert hs.sample_at(m, math.inf, -math.inf, bilinear=bilinear) == 0.2
+    assert hs.sample_at(m, -math.inf, math.inf, bilinear=bilinear) == 0.3
+    with pytest.raises(ValueError, match="NaN"):
+        hs.sample_at(m, math.nan, 0.5, bilinear=bilinear)
+
+
 # ---------------------------------------------------------------------------
 # re-weighting
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_maps=st.integers(1, 5), n_dets=st.integers(1, 30),
+       bilinear=st.booleans())
+def test_reweight_equals_the_per_detection_loop_over_maps_of_mixed_shapes(seed, n_maps, n_dets, bilinear):
+    rng = np.random.default_rng(seed)
+    maps = {f"img{i}": random_map(rng, f"img{i}", int(rng.integers(1, 41)), int(rng.integers(1, 41)))
+            for i in range(n_maps)}
+    dets = []
+    for _ in range(n_dets):
+        x, y = rng.uniform(-5.0, 45.0, size=2)
+        dets.append(det(uid=f"img{int(rng.integers(n_maps))}", box=(x, y, x + rng.uniform(0.1, 9.0),
+                                                                    y + rng.uniform(0.1, 9.0)),
+                        score=float(rng.random())))
+    out = hs.reweight(dets, maps, bilinear=bilinear)
+    want = [d.score * loop_sample_at(maps[d.uid].p.tolist(), *d.center, bilinear) for d in dets]
+    assert [d.score.hex() for d in out] == [v.hex() for v in want]
+    assert [d.uid for d in out] == [d.uid for d in dets]
+
+
+def test_reweight_of_no_detections_is_empty():
+    assert hs.reweight([], {}) == []
+    assert hs.reweight(iter([]), {"img0": HotspotMap.uniform("img0", 2, 2)}, bilinear=True) == []
+
+
+def test_reweight_names_the_earliest_detection_without_a_map():
+    maps = {"img0": HotspotMap.uniform("img0", 2, 2)}
+    with pytest.raises(ValueError, match="no hotspot map for image 'img2'"):
+        hs.reweight([det(uid="img0"), det(uid="img2"), det(uid="img1")], maps)
+
+
+def test_reweight_checks_every_map_before_computing_a_score():
+    broken = HotspotMap.uniform("img0", 2, 2)
+    broken.p = None  # sampling this map would fail with another error
+    with pytest.raises(ValueError, match="no hotspot map for image 'img1'"):
+        hs.reweight([det(uid="img0"), det(uid="img1")], {"img0": broken})
 
 
 def test_reweight_multiplication_is_exact():
