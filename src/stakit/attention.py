@@ -513,7 +513,10 @@ def _mha_like_case(q_name: str, kv_name: str):
         params = {f"{q_name}.tokens": q.tokens, f"{kv_name}.tokens": kv.tokens,
                   **_named_attention_arrays("", w)}
 
-        _, base = _attend_forward(q.tokens, kv.tokens, w)
+        out, base = _attend_forward(q.tokens, kv.tokens, w)
+        y = q.tokens + out
+        d_q, d_kv, gw = _attend_backward(y, base, w)
+        grads = {f"{q_name}.tokens": d_q + y, f"{kv_name}.tokens": d_kv, **_named_attention_arrays("", gw)}
 
         def losses(name: str, stack: np.ndarray) -> np.ndarray:
             if name == f"{q_name}.tokens":
@@ -525,16 +528,7 @@ def _mha_like_case(q_name: str, kv_name: str):
                 out = _attend_after_change(q.tokens, kv.tokens, w, base, name, stack)
             return _loss([q.tokens + out])
 
-        def loss_and_grads():
-            out, cache = _attend_forward(q.tokens, kv.tokens, w)
-            y = q.tokens + out
-            d_q, d_kv, gw = _attend_backward(y, cache, w)
-            grads = {f"{q_name}.tokens": d_q + y,
-                     f"{kv_name}.tokens": d_kv,
-                     **_named_attention_arrays("", gw)}
-            return float(_loss([y])), grads
-
-        return params, losses, loss_and_grads
+        return params, losses, float(_loss([y])), grads
 
     return build
 
@@ -557,6 +551,24 @@ def _dual_case(inputs, weights):
     y_i0, y_v0, base = _dual_forward(x_i, x_v, w_image, w_video, mlp)
     n_i, n_v = base["att_i"]["q_src"], base["att_v"]["q_src"]
     h_i, h_v = base["mlp_i"]["x"], base["mlp_v"]["x"]
+
+    # the analytic gradients come from the same pass's caches
+    d_h_i, g_mlp_i = _mlp_backward(y_i0, base["mlp_i"], mlp.image)
+    d_h_v, g_mlp_v = _mlp_backward(y_v0, base["mlp_v"], mlp.video)
+    d_n_i_a, d_n_v_a, g_image = _attend_backward(d_h_i, base["att_i"], w_image)
+    d_n_v_b, d_n_i_b, g_video = _attend_backward(d_h_v, base["att_v"], w_video)
+    d_x_i = d_h_i + _ln_backward(d_n_i_a + d_n_i_b, base["ln_i"])
+    d_x_v = d_h_v + _ln_backward(d_n_v_a + d_n_v_b, base["ln_v"])
+    grads = {"image.tokens": d_x_i[:-1], "image.class_token": d_x_i[-1],
+             "video.tokens": d_x_v[:-1], "video.class_token": d_x_v[-1],
+             **_named_attention_arrays("image_branch.", g_image),
+             **_named_attention_arrays("video_branch.", g_video),
+             **_named_mlp_arrays("mlp.image.", g_mlp_i),
+             **_named_mlp_arrays("mlp.video.", g_mlp_v)}
+    if image.positional is not None:
+        grads["image.positional"] = d_x_i
+    if video.positional is not None:
+        grads["video.positional"] = d_x_v
 
     def losses(name: str, stack: np.ndarray) -> np.ndarray:
         group, _, field = name.partition(".")
@@ -583,33 +595,15 @@ def _dual_case(inputs, weights):
                                         w_image, w_video, mlp)
         return _loss([y_i, y_v])
 
-    def loss_and_grads():
-        y_i, y_v, cache = _dual_forward(*_residual_streams(image, video), w_image, w_video, mlp)
-        d_h_i, g_mlp_i = _mlp_backward(y_i, cache["mlp_i"], mlp.image)
-        d_h_v, g_mlp_v = _mlp_backward(y_v, cache["mlp_v"], mlp.video)
-        d_n_i_a, d_n_v_a, g_image = _attend_backward(d_h_i, cache["att_i"], w_image)
-        d_n_v_b, d_n_i_b, g_video = _attend_backward(d_h_v, cache["att_v"], w_video)
-        d_n_i = d_n_i_a + d_n_i_b
-        d_n_v = d_n_v_a + d_n_v_b
-        d_x_i = d_h_i + _ln_backward(d_n_i, cache["ln_i"])
-        d_x_v = d_h_v + _ln_backward(d_n_v, cache["ln_v"])
-        grads = {"image.tokens": d_x_i[:-1], "image.class_token": d_x_i[-1],
-                 "video.tokens": d_x_v[:-1], "video.class_token": d_x_v[-1],
-                 **_named_attention_arrays("image_branch.", g_image),
-                 **_named_attention_arrays("video_branch.", g_video),
-                 **_named_mlp_arrays("mlp.image.", g_mlp_i),
-                 **_named_mlp_arrays("mlp.video.", g_mlp_v)}
-        if image.positional is not None:
-            grads["image.positional"] = d_x_i
-        if video.positional is not None:
-            grads["video.positional"] = d_x_v
-        return float(_loss([y_i, y_v])), grads
-
-    return params, losses, loss_and_grads
+    return params, losses, float(_loss([y_i0, y_v0])), grads
 
 
 GRAD_CHECK_OPS = ("mha", "frame_guided_pooling", "dual_attention")
 
+# op -> build(inputs, weights), which returns (params, losses, loss, grads):
+# the tensors to perturb by name, the loss of each slice of a perturbed
+# stack of one of them, and the loss and analytic gradients of the one
+# unperturbed pass.
 _CASE_BUILDERS = {
     "mha": _mha_like_case("queries", "keys_values"),
     "frame_guided_pooling": _mha_like_case("last_frame", "video"),
@@ -648,8 +642,7 @@ def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckR
         raise ValueError(f"unknown grad-check op {op_id!r}; expected one of {GRAD_CHECK_OPS}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    params, losses, loss_and_grads = _CASE_BUILDERS[op_id](inputs, weights)
-    _, grads = loss_and_grads()
+    params, losses, _, grads = _CASE_BUILDERS[op_id](inputs, weights)
     worst = ""
     max_rel = 0.0
     checked = 0

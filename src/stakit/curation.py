@@ -1,32 +1,25 @@
 """Curate interaction ground truth from box and action-segment annotations.
 
 Sparse per-frame object boxes plus temporal action segments become
-anticipation records in four steps: (1) chain boxes of the same video and
-noun into tracks while the frame gap stays within a limit, (2) discard
-tracks touching any frame where the same video/frame/noun carries two or
-more boxes (ambiguous instance), (3) attach each surviving track to the
-earliest same-noun segment starting at or after the track's first frame
-and cut the track at the segment start, (4) emit one record per remaining
-frame with the segment's verb and the time to contact
-(segment_start - frame) / fps.
+anticipation records in one pass over the boxes of each (video, noun):
+(1) sorted by frame, they split into tracks wherever the frame gap exceeds
+a limit, (2) a track holding two boxes on one frame is an ambiguous
+instance and is dropped, (3) each other track attaches to the earliest
+segment of its video and noun starting at or after its first frame and is
+cut at the segment start, (4) every remaining frame becomes one record with
+the segment's verb and the time to contact (segment_start - frame) / fps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "DEFAULT_GAP",
     "BoxAnnotation",
     "ActionSegment",
-    "ObjectTrack",
     "STARecord",
-    "build_tracks",
-    "drop_ambiguous_tracks",
-    "match_track_to_segment",
-    "truncate_track",
-    "emit_sta_records",
     "curate",
 ]
 
@@ -61,32 +54,6 @@ class ActionSegment:
             raise ValueError(f"segment must have start < stop, got [{self.start}, {self.stop})")
 
 
-@dataclass
-class ObjectTrack:
-    """Chained appearances of one object instance in one video.
-
-    Frames are nondecreasing while a track is being built; once ambiguous
-    tracks are dropped they are strictly increasing.
-    """
-
-    track_id: str
-    video_id: str
-    noun: object
-    frames: list  # (frame, box) pairs
-    segment: ActionSegment | None = None
-
-    def __post_init__(self) -> None:
-        if not self.frames:
-            raise ValueError("a track needs at least one frame")
-        for (fa, _), (fb, _) in zip(self.frames, self.frames[1:]):
-            if fb < fa:
-                raise ValueError("track frames must be nondecreasing")
-
-    @property
-    def first_frame(self) -> int:
-        return self.frames[0][0]
-
-
 @dataclass(frozen=True)
 class STARecord:
     """One curated anticipation example."""
@@ -104,127 +71,47 @@ class STARecord:
             raise ValueError(f"time to contact must be finite and positive, got {self.ttc}")
 
 
-def build_tracks(boxes: list[BoxAnnotation], gap: int = DEFAULT_GAP) -> list[ObjectTrack]:
-    """Chain boxes of the same (video, noun) while frame gaps stay <= gap.
-
-    Boxes sharing a frame land in the same track (zero gap); those tracks
-    are ambiguous and fall to drop_ambiguous_tracks.  Output order follows
-    first appearance of each (video, noun) in the input.
-    """
-    if gap < 0:
-        raise ValueError(f"gap must be nonnegative, got {gap}")
-    grouped: dict = {}
-    order: list = []
-    for box in boxes:
-        key = (box.video_id, box.noun)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(box)
-    tracks = []
-    for key in order:
-        video_id, noun = key
-        chain = sorted(grouped[key], key=lambda b: b.frame)
-        runs: list[list[BoxAnnotation]] = []
-        for box in chain:
-            if runs and box.frame - runs[-1][-1].frame <= gap:
-                runs[-1].append(box)
-            else:
-                runs.append([box])
-        for k, run in enumerate(runs):
-            tracks.append(ObjectTrack(
-                track_id=f"{video_id}:{noun}:{k}",
-                video_id=video_id,
-                noun=noun,
-                frames=[(b.frame, b.box) for b in run],
-            ))
-    return tracks
-
-
-def drop_ambiguous_tracks(tracks: list[ObjectTrack], boxes: list[BoxAnnotation]) -> list[ObjectTrack]:
-    """Remove tracks touching a frame with duplicate same-noun boxes.
-
-    Duplicates of a different noun on the same frame do not disqualify a
-    track.
-    """
-    seen: dict = {}
-    for box in boxes:
-        key = (box.video_id, box.frame, box.noun)
-        seen[key] = seen.get(key, 0) + 1
-    ambiguous = {key for key, count in seen.items() if count >= 2}
-    kept = []
-    for track in tracks:
-        if any((track.video_id, frame, track.noun) in ambiguous for frame, _ in track.frames):
-            continue
-        kept.append(track)
-    return kept
-
-
-def match_track_to_segment(track: ObjectTrack, segments: list[ActionSegment]) -> ObjectTrack:
-    """Attach the earliest same-video same-noun segment starting at or
-    after the track's first frame; ties on start frame break toward input
-    order.  Tracks with no eligible segment come back with segment None.
-    """
-    best = None
-    for idx, seg in enumerate(segments):
-        if seg.video_id != track.video_id or seg.noun != track.noun:
-            continue
-        if seg.start < track.first_frame:
-            continue
-        if best is None or (seg.start, idx) < best[:2]:
-            best = (seg.start, idx, seg)
-    return replace(track, segment=best[2] if best else None)
-
-
-def truncate_track(track: ObjectTrack) -> ObjectTrack | None:
-    """Drop frames at or past the matched segment's start.
-
-    Requires a matched segment.  Returns None when nothing is left, which
-    drops the track from the pipeline.
-    """
-    if track.segment is None:
-        raise ValueError(f"track {track.track_id!r} has no matched segment to truncate against")
-    remaining = [(frame, box) for frame, box in track.frames if frame < track.segment.start]
-    if not remaining:
-        return None
-    return replace(track, frames=remaining)
-
-
-def emit_sta_records(track: ObjectTrack, fps: float, split: str = "train") -> list[STARecord]:
-    """One record per remaining frame; ttc = (segment_start - frame) / fps."""
-    if fps <= 0:
-        raise ValueError(f"fps must be positive, got {fps}")
-    if track.segment is None:
-        raise ValueError(f"track {track.track_id!r} has no matched segment")
-    return [
-        STARecord(
-            video_id=track.video_id,
-            frame=frame,
-            box=box,
-            noun=track.noun,
-            verb=track.segment.verb,
-            ttc=(track.segment.start - frame) / fps,
-            split=split,
-        )
-        for frame, box in track.frames
-    ]
-
-
 def curate(boxes: list[BoxAnnotation], segments: list[ActionSegment], *,
            gap: int = DEFAULT_GAP, fps: float = 30.0, split: str = "train") -> list[STARecord]:
-    """Full pipeline; output sorted by (video, frame, noun) for stable files."""
-    tracks = drop_ambiguous_tracks(build_tracks(boxes, gap), boxes)
+    """One record per frame of each unambiguous track before its segment.
+
+    A track is a run of boxes of one (video, noun) whose frames, sorted,
+    stay within ``gap`` of each other.  Boxes sharing a frame land in the
+    same track, which is dropped.  Among equal segment starts the earlier
+    segment in ``segments`` wins.  Output is sorted by (video, frame, noun)
+    for stable files.
+    """
+    if not 0 < fps < math.inf:
+        raise ValueError(f"fps must be finite and positive, got {fps}")
+    if gap < 0:
+        raise ValueError(f"gap must be nonnegative, got {gap}")
+    groups: dict = {}  # (video, noun) -> its boxes; keys in order of first appearance
+    for box in boxes:
+        groups.setdefault((box.video_id, box.noun), []).append(box)
     candidates: dict = {}  # (video, noun) -> its segments, in input order
     for seg in segments:
         candidates.setdefault((seg.video_id, seg.noun), []).append(seg)
     records: list[STARecord] = []
-    for track in tracks:
-        matched = match_track_to_segment(track, candidates.get((track.video_id, track.noun), []))
-        if matched.segment is None:
-            continue
-        cut = truncate_track(matched)
-        if cut is None:
-            continue
-        records.extend(emit_sta_records(cut, fps, split))
+    for (video_id, noun), group in groups.items():
+        group.sort(key=lambda b: b.frame)
+        group_segments = candidates.get((video_id, noun), ())
+        runs = [[group[0]]]
+        for prev, box in zip(group, group[1:]):
+            if box.frame - prev.frame <= gap:
+                runs[-1].append(box)
+            else:
+                runs.append([box])
+        for run in runs:
+            if any(a.frame == b.frame for a, b in zip(run, run[1:])):
+                continue  # ambiguous: two boxes on one frame
+            first = run[0].frame
+            segment = min((s for s in group_segments if s.start >= first), key=lambda s: s.start, default=None)
+            if segment is None:
+                continue  # no segment starts at or after the track
+            if segment.start == first:
+                continue  # the segment starts on the first frame: nothing is left before it
+            records.extend(STARecord(video_id, b.frame, b.box, noun, segment.verb,
+                                     (segment.start - b.frame) / fps, split)
+                           for b in run if b.frame < segment.start)
     records.sort(key=lambda r: (r.video_id, r.frame, str(r.noun)))
     return records

@@ -77,6 +77,7 @@ class InputError(ValueError):
 
 
 _BAD_VALUE = (TypeError, ValueError, OverflowError, RecursionError)  # what bad input makes parsing raise
+_NUMBER = frozenset({int, float})  # the types json gives a JSON number; not str, and not bool, a subclass of int
 _REQUIRED = object()
 
 
@@ -139,6 +140,13 @@ def _int(value) -> int:
     return value
 
 
+def _float(value) -> float:
+    """A JSON number: not "1.5", true or null."""
+    if type(value) not in _NUMBER:
+        raise TypeError(f"expected a number, got {reprlib.repr(value)}")
+    return float(value)
+
+
 def _label(value):
     if type(value) is not str and type(value) is not int:
         raise TypeError(f"expected a string or integer label, got {reprlib.repr(value)}")
@@ -150,10 +158,10 @@ def _labels(value) -> list:
 
 
 def _vector(value, length: int | None = None) -> np.ndarray:
-    v = np.asarray(value, dtype=np.float64)
-    if v.ndim != 1:
+    if type(value) is not list or not _NUMBER.issuperset(map(type, value)):
         raise ValueError(f"expected a list of numbers, got {reprlib.repr(value)}")
-    if not np.isfinite(v).all():  # null reads as NaN
+    v = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(v).all():  # NaN, Infinity and numbers past float64's range
         raise ValueError(f"entries must be finite numbers, got {reprlib.repr(value)}")
     if length is not None and len(v) != length:
         raise ValueError(f"expected {length} entries, got {len(v)}")
@@ -169,9 +177,12 @@ def _descriptor(value, length: int | None = None) -> np.ndarray:
 
 
 def _box(value) -> tuple:
-    if not isinstance(value, list) or len(value) != 4:
-        raise ValueError(f"box must be [x1, y1, x2, y2], got {reprlib.repr(value)}")
-    return tuple(map(float, value))
+    """Four JSON numbers, unpacked and checked one by one, which is faster than a loop over four."""
+    if type(value) is list and len(value) == 4:
+        x1, y1, x2, y2 = value
+        if type(x1) in _NUMBER and type(y1) in _NUMBER and type(x2) in _NUMBER and type(y2) in _NUMBER:
+            return float(x1), float(y1), float(x2), float(y2)
+    raise ValueError(f"box must be [x1, y1, x2, y2], got {reprlib.repr(value)}")
 
 
 def _float_list(values) -> list[float]:
@@ -420,8 +431,8 @@ def _detection_fields(obj) -> Detection:
         box=_convert(obj, "box", _box),
         noun=_convert(obj, "noun", _label),
         verb=_convert(obj, "verb", _label),
-        ttc=_convert(obj, "ttc", float),
-        score=_convert(obj, "score", float),
+        ttc=_convert(obj, "ttc", _float),
+        score=_convert(obj, "score", _float),
         noun_probs=_convert(obj, "noun_probs", _vector, default=None),
         verb_probs=_convert(obj, "verb_probs", _vector, default=None),
     )
@@ -433,7 +444,7 @@ def _detection(obj) -> Detection:
         uid = str(obj["uid"])  # first, so that a line holding no JSON object fails here
         noun_probs, verb_probs = obj.get("noun_probs"), obj.get("verb_probs")
         return Detection(uid, _box(obj["box"]), _label(obj["noun"]), _label(obj["verb"]),
-                         float(obj["ttc"]), float(obj["score"]),
+                         _float(obj["ttc"]), _float(obj["score"]),
                          None if noun_probs is None else _vector(noun_probs),
                          None if verb_probs is None else _vector(verb_probs))
     except (LookupError, *_BAD_VALUE):
@@ -455,7 +466,7 @@ def _ground_truth_fields(obj) -> GroundTruth:
         box=_convert(obj, "box", _box),
         noun=_convert(obj, "noun", _label),
         verb=_convert(obj, "verb", _label),
-        ttc=_convert(obj, "ttc", float),
+        ttc=_convert(obj, "ttc", _float),
     )
 
 
@@ -463,7 +474,7 @@ def _ground_truth(obj) -> GroundTruth:
     """_ground_truth_fields(obj) read directly; a record that fails is rebuilt by it, to locate the fault."""
     try:
         return GroundTruth(str(obj["uid"]), _box(obj["box"]), _label(obj["noun"]), _label(obj["verb"]),
-                           float(obj["ttc"]))
+                           _float(obj["ttc"]))
     except (LookupError, *_BAD_VALUE):
         return _ground_truth_fields(obj)
 
@@ -559,7 +570,7 @@ def write_eval_report(path, report: EvalReport) -> None:
 
 def read_eval_report(path) -> EvalReport:
     return _at(lambda obj: EvalReport(
-        maps=dict(_convert(obj, "maps", _object)),
+        maps=_convert(obj, "maps", lambda maps: {k: _float(v) for k, v in _object(maps).items()}),
         per_class={k: dict(v) for k, v in _convert(obj, "per_class", _object, default={}).items()},
         counts=dict(_convert(obj, "counts", _object, default={})),
         params=dict(_convert(obj, "params", _object, default={})),

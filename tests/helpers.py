@@ -379,3 +379,66 @@ def loop_gaussian_map(h, w, centers):
                 grid[row][col] += math.exp(-d2 / (2.0 * sigma * sigma))
     total = sum(v for row in grid for v in row)
     return [[v / total for v in row] for row in grid]
+
+
+# ---------------------------------------------------------------------------
+# curation
+
+
+def loop_curate(boxes, segments, gap, fps, split="train"):
+    """Reference curation in four stages over explicit track dictionaries.
+
+    boxes and segments are objects with the attributes of
+    ``BoxAnnotation`` (video_id, frame, noun, box) and ``ActionSegment``
+    (video_id, start, verb, noun).  Returns (video_id, frame, box, noun,
+    verb, ttc, split) tuples, the fields of ``STARecord`` in order, sorted
+    by (video, frame, str(noun)).
+    """
+    # 1. chain the boxes of each (video, noun), frames sorted, while the gap stays <= gap
+    grouped, order = {}, []
+    for b in boxes:
+        key = (b.video_id, b.noun)
+        if key not in grouped:
+            grouped[key] = []
+            order.append(key)
+        grouped[key].append(b)
+    tracks = []
+    for video_id, noun in order:
+        chain = sorted(grouped[(video_id, noun)], key=lambda b: b.frame)
+        runs = []
+        for b in chain:
+            if runs and b.frame - runs[-1][-1].frame <= gap:
+                runs[-1].append(b)
+            else:
+                runs.append([b])
+        for run in runs:
+            tracks.append({"video_id": video_id, "noun": noun, "frames": [(b.frame, b.box) for b in run]})
+
+    # 2. drop every track touching a (video, frame, noun) that carries two or more boxes
+    counts = {}
+    for b in boxes:
+        key = (b.video_id, b.frame, b.noun)
+        counts[key] = counts.get(key, 0) + 1
+    tracks = [t for t in tracks
+              if all(counts[(t["video_id"], frame, t["noun"])] == 1 for frame, _ in t["frames"])]
+
+    records = []
+    for t in tracks:
+        # 3. scan every segment for the earliest same-video same-noun start at or after the
+        #    first frame; ties on start go to the earlier segment
+        first = t["frames"][0][0]
+        best = None
+        for idx, seg in enumerate(segments):
+            if seg.video_id != t["video_id"] or seg.noun != t["noun"] or seg.start < first:
+                continue
+            if best is None or (seg.start, idx) < best[:2]:
+                best = (seg.start, idx, seg)
+        if best is None:
+            continue
+        seg = best[2]
+        # 4. cut at the segment start and emit one record per remaining frame
+        for frame, box in t["frames"]:
+            if frame < seg.start:
+                records.append((t["video_id"], frame, box, t["noun"], seg.verb, (seg.start - frame) / fps, split))
+    records.sort(key=lambda r: (r[0], r[1], str(r[3])))
+    return records

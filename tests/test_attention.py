@@ -453,7 +453,7 @@ def test_grad_check_partial_loss_equals_full_pass(op):
     # each slice's loss must equal a full 2-D pass with the tensor set to it
     inputs, weights = att.random_instance(op, 5, d_model=6, heads=2,
                                           n_tokens=2, mlp_hidden=8)
-    params, losses, loss_and_grads = att._CASE_BUILDERS[op](inputs, weights)
+    params, losses, _, _ = att._CASE_BUILDERS[op](inputs, weights)
     for name, arr in params.items():
         stack = np.repeat(arr[None], 2, axis=0)
         stack[0].flat[0] += 1e-3
@@ -461,8 +461,8 @@ def test_grad_check_partial_loss_equals_full_pass(op):
         got = losses(name, stack)
         orig = arr.copy()
         for s in range(2):
-            arr[...] = stack[s]
-            assert got[s] == loss_and_grads()[0], (name, s)
+            arr[...] = stack[s]  # params alias the instance's arrays, so the case is rebuilt perturbed
+            assert got[s] == att._CASE_BUILDERS[op](inputs, weights)[2], (name, s)
         arr[...] = orig
 
 
@@ -476,8 +476,8 @@ def full_pass_loss(op, inputs, weights) -> float:
 
 
 def loop_report(op, inputs, weights, epsilon=1e-5):
-    params, _, loss_and_grads = att._CASE_BUILDERS[op](inputs, weights)
-    return loop_grad_check(params, lambda: full_pass_loss(op, inputs, weights), loss_and_grads()[1], epsilon)
+    params, _, _, grads = att._CASE_BUILDERS[op](inputs, weights)
+    return loop_grad_check(params, lambda: full_pass_loss(op, inputs, weights), grads, epsilon)
 
 
 def criterion_instance(op, seed, heads=2):

@@ -346,6 +346,24 @@ def test_curate_ek_cli_golden_output(tmp_path, capsys):
     assert out_path.read_bytes() == GOLDEN_RECORDS.encode()
 
 
+@pytest.mark.parametrize("segments_csv", [SEGMENTS_CSV, SEGMENTS_CSV.replace("plate", "bowl")],
+                         ids=["tracks-reach-segments", "no-track-reaches-a-segment"])
+@pytest.mark.parametrize("flag, value", [("--fps", "0"), ("--fps", "-30"), ("--fps", "nan"), ("--fps", "inf"),
+                                         ("--gap", "-1")])
+def test_curate_ek_rejects_a_bad_fps_or_gap_whatever_the_input(tmp_path, capsys, segments_csv, flag, value):
+    boxes = tmp_path / "boxes.csv"
+    segments = tmp_path / "segments.csv"
+    out_path = tmp_path / "records.jsonl"
+    boxes.write_text(BOXES_CSV)
+    segments.write_text(segments_csv)
+    code, out, err = run_cli(["curate", "ek", "--boxes", str(boxes), "--segments", str(segments),
+                              "--out", str(out_path), flag, value], capsys)
+    assert code == 1 and out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "ValueError" and record["message"].startswith(flag[2:])
+    assert not out_path.exists()
+
+
 INFINITE_BOX_DET = {"uid": "img0", "box": [0.0, 0.0, math.inf, math.inf], "noun": "cup",
                     "verb": "take", "ttc": 1.0, "score": 0.9}
 

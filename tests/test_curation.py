@@ -1,10 +1,16 @@
-"""Annotation curation pipeline tests: stage rules plus end-to-end fuzz."""
+"""Annotation curation tests: each stage's rule as curate input and records, the
+staged oracle, and end-to-end fuzz."""
+
+import math
 
 import numpy as np
 import pytest
+from helpers import loop_curate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stakit import curation as cur
-from stakit.curation import ActionSegment, BoxAnnotation, ObjectTrack
+from stakit.curation import ActionSegment, BoxAnnotation
 
 
 def box(video, frame, noun, offset=0.0):
@@ -17,172 +23,110 @@ def seg(video, start, stop, verb, noun):
 
 
 # ---------------------------------------------------------------------------
-# track building
+# the stages, each seen through curate's records
+
+
+def rows(records):
+    return [(r.video_id, r.frame, r.noun, r.verb, r.ttc) for r in records]
 
 
 def test_contiguous_frames_chain_into_one_track():
-    tracks = cur.build_tracks([box("v", 1, "cup"), box("v", 2, "cup"), box("v", 3, "cup")])
-    assert len(tracks) == 1
-    assert [f for f, _ in tracks[0].frames] == [1, 2, 3]
-    assert tracks[0].track_id == "v:cup:0"
-
-
-def test_different_nouns_never_share_a_track():
-    tracks = cur.build_tracks([box("v", 1, "cup"), box("v", 2, "plate")])
-    assert len(tracks) == 2
-    assert {t.noun for t in tracks} == {"cup", "plate"}
+    # frame 40 chains on at gap 38, so the track's segment cuts it instead of it taking the later one
+    records = cur.curate([box("v", 1, "cup"), box("v", 2, "cup"), box("v", 40, "cup")],
+                         [seg("v", 3, 9, "take", "cup"), seg("v", 50, 60, "wash", "cup")], gap=38)
+    assert rows(records) == [("v", 1, "cup", "take", 2 / 30), ("v", 2, "cup", "take", 1 / 30)]
 
 
 def test_gap_splits_tracks():
-    tracks = cur.build_tracks([box("v", 1, "cup"), box("v", 100, "cup")], gap=30)
-    assert len(tracks) == 2
-    assert [t.track_id for t in tracks] == ["v:cup:0", "v:cup:1"]
-    merged = cur.build_tracks([box("v", 1, "cup"), box("v", 31, "cup")], gap=30)
-    assert len(merged) == 1
+    segments = [seg("v", 20, 30, "take", "cup"), seg("v", 50, 60, "wash", "cup")]
+    boxes = [box("v", 1, "cup"), box("v", 31, "cup")]
+    # a gap of exactly 30 chains the boxes, and the track is cut at frame 20
+    assert rows(cur.curate(boxes, segments, gap=30)) == [("v", 1, "cup", "take", 19 / 30)]
+    # one less splits them, and the second track takes the later segment
+    assert rows(cur.curate(boxes, segments, gap=29)) == [("v", 1, "cup", "take", 19 / 30),
+                                                          ("v", 31, "cup", "wash", 19 / 30)]
 
 
-def test_build_tracks_sorts_frames_within_group():
-    tracks = cur.build_tracks([box("v", 20, "cup"), box("v", 5, "cup")])
-    assert [f for f, _ in tracks[0].frames] == [5, 20]
+def test_frames_are_sorted_before_chaining():
+    segments = [seg("v", 20, 30, "take", "cup"), seg("v", 50, 60, "wash", "cup")]
+    records = cur.curate([box("v", 40, "cup"), box("v", 5, "cup")], segments, gap=30)
+    assert rows(records) == [("v", 5, "cup", "take", 0.5), ("v", 40, "cup", "wash", 1 / 3)]
 
 
-def test_build_tracks_same_frame_duplicates_share_a_track():
-    tracks = cur.build_tracks([box("v", 10, "cup", offset=0.0), box("v", 10, "cup", offset=5.0)])
-    assert len(tracks) == 1
-    assert len(tracks[0].frames) == 2
+def test_different_nouns_and_videos_never_share_a_track():
+    boxes = [box("a", 1, "cup"), box("a", 2, "plate"), box("b", 3, "cup")]
+    segments = [seg("a", 10, 20, "take", "plate"), seg("b", 10, 20, "wash", "cup")]
+    assert rows(cur.curate(boxes, segments)) == [("a", 2, "plate", "take", 8 / 30),
+                                                 ("b", 3, "cup", "wash", 7 / 30)]
 
 
-def test_build_tracks_validates_gap():
-    with pytest.raises(ValueError, match="gap"):
-        cur.build_tracks([], gap=-1)
-
-
-def test_videos_are_independent():
-    tracks = cur.build_tracks([box("a", 1, "cup"), box("b", 2, "cup")])
-    assert len(tracks) == 2
-
-
-# ---------------------------------------------------------------------------
-# ambiguity filtering
-
-
-def test_duplicate_same_noun_frame_drops_the_track():
-    boxes = [box("v", 10, "plate"), box("v", 30, "plate", offset=1.0),
-             box("v", 30, "plate", offset=5.0)]
-    tracks = cur.build_tracks(boxes)
-    kept = cur.drop_ambiguous_tracks(tracks, boxes)
-    assert kept == []
-
-
-def test_single_instance_frames_pass_through():
-    boxes = [box("v", 10, "plate"), box("v", 20, "plate", offset=1.0)]
-    tracks = cur.build_tracks(boxes)
-    assert cur.drop_ambiguous_tracks(tracks, boxes) == tracks
+def test_duplicate_same_noun_frame_drops_only_its_track():
+    boxes = [box("v", 10, "plate"), box("v", 30, "plate", offset=1.0), box("v", 30, "plate", offset=5.0),
+             box("v", 100, "plate")]
+    segments = [seg("v", 50, 60, "take", "plate"), seg("v", 130, 160, "wash", "plate")]
+    assert rows(cur.curate(boxes, segments, gap=30)) == [("v", 100, "plate", "wash", 1.0)]
+    # at gap 0 the duplicates still share a track, whose only frame is 30
+    assert rows(cur.curate(boxes, segments, gap=0)) == [("v", 10, "plate", "take", 40 / 30),
+                                                        ("v", 100, "plate", "wash", 1.0)]
 
 
 def test_duplicates_of_other_nouns_do_not_disqualify():
     boxes = [box("v", 10, "plate"), box("v", 10, "cup"), box("v", 10, "cup", offset=5.0)]
-    tracks = cur.build_tracks(boxes)
-    kept = cur.drop_ambiguous_tracks(tracks, boxes)
-    assert {t.noun for t in kept} == {"plate"}
-
-
-# ---------------------------------------------------------------------------
-# segment matching and truncation
+    segments = [seg("v", 40, 50, "take", "plate"), seg("v", 40, 50, "take", "cup")]
+    assert rows(cur.curate(boxes, segments)) == [("v", 10, "plate", "take", 1.0)]
 
 
 def test_match_takes_earliest_starting_segment():
-    track = cur.build_tracks([box("v", 10, "cup")])[0]
-    segments = [seg("v", 80, 90, "wash", "cup"), seg("v", 50, 60, "take", "cup")]
-    matched = cur.match_track_to_segment(track, segments)
-    assert matched.segment.start == 50
+    records = cur.curate([box("v", 10, "cup")], [seg("v", 80, 90, "wash", "cup"), seg("v", 50, 60, "take", "cup")])
+    assert rows(records) == [("v", 10, "cup", "take", 40 / 30)]
 
 
 def test_match_requires_same_noun_and_video():
-    track = cur.build_tracks([box("v", 10, "cup")])[0]
-    assert cur.match_track_to_segment(track, [seg("v", 50, 60, "take", "plate")]).segment is None
-    assert cur.match_track_to_segment(track, [seg("w", 50, 60, "take", "cup")]).segment is None
+    boxes = [box("v", 10, "cup")]
+    assert cur.curate(boxes, [seg("v", 50, 60, "take", "plate"), seg("w", 50, 60, "take", "cup")]) == []
 
 
 def test_match_ignores_segments_starting_before_the_track():
-    track = cur.build_tracks([box("v", 10, "cup")])[0]
-    matched = cur.match_track_to_segment(
-        track, [seg("v", 5, 60, "take", "cup"), seg("v", 40, 60, "wash", "cup")])
-    assert matched.segment.verb == "wash"
+    records = cur.curate([box("v", 10, "cup")], [seg("v", 5, 60, "take", "cup"), seg("v", 40, 60, "wash", "cup")])
+    assert rows(records) == [("v", 10, "cup", "wash", 1.0)]
 
 
 def test_match_tie_breaks_toward_input_order():
-    track = cur.build_tracks([box("v", 10, "cup")])[0]
-    matched = cur.match_track_to_segment(
-        track, [seg("v", 50, 60, "first", "cup"), seg("v", 50, 70, "second", "cup")])
-    assert matched.segment.verb == "first"
+    records = cur.curate([box("v", 10, "cup")],
+                         [seg("v", 50, 60, "first", "cup"), seg("v", 50, 70, "second", "cup")])
+    assert [r.verb for r in records] == ["first"]
 
 
-def test_truncate_drops_frames_at_or_past_start():
-    track = ObjectTrack("t", "v", "cup",
-                        [(10, (0, 0, 1, 1)), (20, (0, 0, 1, 1)), (30, (0, 0, 1, 1))],
-                        segment=seg("v", 25, 60, "take", "cup"))
-    cut = cur.truncate_track(track)
-    assert [f for f, _ in cut.frames] == [10, 20]
+def test_track_is_cut_at_the_segment_start():
+    boxes = [box("v", 10, "cup"), box("v", 20, "cup"), box("v", 25, "cup"), box("v", 30, "cup")]
+    records = cur.curate(boxes, [seg("v", 25, 60, "take", "cup")])
+    # the boundary frame 25 is cut along with the frames past it
+    assert rows(records) == [("v", 10, "cup", "take", 0.5), ("v", 20, "cup", "take", 1 / 6)]
 
 
-def test_truncate_boundary_frame_is_removed():
-    track = ObjectTrack("t", "v", "cup", [(10, (0, 0, 1, 1)), (25, (0, 0, 1, 1))],
-                        segment=seg("v", 25, 60, "take", "cup"))
-    cut = cur.truncate_track(track)
-    assert [f for f, _ in cut.frames] == [10]
+def test_track_starting_on_the_segment_start_is_cut_to_nothing():
+    boxes = [box("v", 25, "cup"), box("v", 30, "cup")]
+    assert cur.curate(boxes, [seg("v", 25, 60, "take", "cup")]) == []
 
 
-def test_truncate_returns_none_when_nothing_remains():
-    track = ObjectTrack("t", "v", "cup", [(30, (0, 0, 1, 1))],
-                        segment=seg("v", 25, 60, "take", "cup"))
-    assert cur.truncate_track(track) is None
+def test_time_to_contact_arithmetic():
+    boxes = [box("v", 300, "cup", offset=1.0), box("v", 320, "cup"), box("v", 335, "cup")]
+    records = cur.curate(boxes, [seg("v", 336, 400, "take", "cup")], fps=30.0)
+    assert rows(records) == [("v", 300, "cup", "take", 1.2), ("v", 320, "cup", "take", 16 / 30),
+                             ("v", 335, "cup", "take", 1 / 30)]
+    assert records[0].box == (1.0, 1.0, 11.0, 11.0)
+    assert rows(cur.curate(boxes, [seg("v", 336, 400, "take", "cup")], fps=10.0))[0][4] == 3.6
 
 
-def test_truncate_requires_a_segment():
-    track = ObjectTrack("t", "v", "cup", [(10, (0, 0, 1, 1))])
-    with pytest.raises(ValueError, match="no matched segment"):
-        cur.truncate_track(track)
-
-
-# ---------------------------------------------------------------------------
-# record emission
-
-
-def test_emit_time_to_contact_arithmetic():
-    track = ObjectTrack("t", "v", "cup", [(300, (0, 0, 1, 1))],
-                        segment=seg("v", 336, 400, "take", "cup"))
-    records = cur.emit_sta_records(track, fps=30.0)
-    assert records[0].ttc == 1.2
-    assert records[0].verb == "take"
-    assert records[0].frame == 300
-
-
-def test_emit_boundary_frame_has_positive_ttc():
-    track = ObjectTrack("t", "v", "cup", [(335, (0, 0, 1, 1))],
-                        segment=seg("v", 336, 400, "take", "cup"))
-    records = cur.emit_sta_records(track, fps=30.0)
-    assert records[0].ttc == pytest.approx(1.0 / 30.0)
-    assert records[0].ttc > 0
-
-
-def test_emit_three_frames_share_labels_with_decreasing_ttc():
-    track = ObjectTrack("t", "v", "cup",
-                        [(10, (0, 0, 1, 1)), (20, (0, 0, 1, 1)), (30, (0, 0, 1, 1))],
-                        segment=seg("v", 46, 60, "take", "cup"))
-    records = cur.emit_sta_records(track, fps=30.0)
-    assert [r.ttc for r in records] == sorted([r.ttc for r in records], reverse=True)
-    assert {(r.noun, r.verb) for r in records} == {("cup", "take")}
-
-
-def test_emit_validates_fps_and_segment():
-    track = ObjectTrack("t", "v", "cup", [(10, (0, 0, 1, 1))],
-                        segment=seg("v", 46, 60, "take", "cup"))
-    with pytest.raises(ValueError, match="fps"):
-        cur.emit_sta_records(track, fps=0.0)
-    bare = ObjectTrack("t", "v", "cup", [(10, (0, 0, 1, 1))])
-    with pytest.raises(ValueError, match="no matched segment"):
-        cur.emit_sta_records(bare, fps=30.0)
+@pytest.mark.parametrize("kwargs, match", [
+    ({"fps": 0.0}, "fps"), ({"fps": -30.0}, "fps"), ({"fps": math.nan}, "fps"), ({"fps": math.inf}, "fps"),
+    ({"gap": -1}, "gap"),
+])
+def test_curate_validates_fps_and_gap_before_any_work(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        cur.curate([], [], **kwargs)
+    with pytest.raises(ValueError, match=match):
+        cur.curate([box("v", 10, "cup")], [seg("v", 50, 60, "take", "cup")], **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +152,7 @@ def golden_input():
 def test_curate_golden_records():
     boxes, segments = golden_input()
     records = cur.curate(boxes, segments, gap=30, fps=30.0)
-    assert [(r.video_id, r.frame, r.noun, r.verb, r.ttc) for r in records] == [
+    assert rows(records) == [
         ("v01", 20, "plate", "take", 1.0),
         ("v01", 35, "plate", "take", 0.5),
         ("v01", 100, "plate", "wash", 1.0),
@@ -261,14 +205,34 @@ def test_curate_matches_each_track_against_every_segment():
                 start = int(rng.choice([40, 80, 120, 160, 210]))
                 segments.append(seg(f"v{v}", start, start + 5, str(rng.choice(["take", "wash", "cut"])), noun))
     rng.shuffle(segments)
-    expected = []
-    for track in cur.drop_ambiguous_tracks(cur.build_tracks(boxes), boxes):
-        matched = cur.match_track_to_segment(track, segments)
-        cut = cur.truncate_track(matched) if matched.segment is not None else None
-        expected.extend(cur.emit_sta_records(cut, 30.0) if cut is not None else [])
-    expected.sort(key=lambda r: (r.video_id, r.frame, str(r.noun)))
+    expected = [cur.STARecord(*r) for r in loop_curate(boxes, segments, cur.DEFAULT_GAP, 30.0)]
     assert len({(s.video_id, s.noun, s.start) for s in segments}) < len(segments)  # ties are planted
     assert expected and cur.curate(boxes, segments) == expected
+
+
+NOUNS = st.sampled_from([1, "1", "cup"])  # 1 and "1" are two nouns that sort as equal strings
+
+
+@st.composite
+def annotations(draw):
+    """Segments on few starts, so starts tie, and boxes half of the time on a start frame,
+    so frames repeat and tracks begin or end on a segment start."""
+    videos = st.sampled_from(["v0", "v1", "v2"])
+    starts = st.sampled_from([0, 10, 25, 40, 60, 90, 130])
+    frames = st.integers(0, 140) | starts
+    boxes = draw(st.lists(st.builds(box, videos, frames, NOUNS, st.floats(0, 5)), max_size=25))
+    segments = draw(st.lists(st.builds(lambda v, a, verb, noun: seg(v, a, a + 5, verb, noun),
+                                       videos, starts, st.sampled_from(["take", "wash", 7]), NOUNS),
+                             max_size=12))
+    return boxes, segments
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=annotations(), gap=st.sampled_from([0, 30]), fps=st.sampled_from([30.0, 25.0, 59.94]))
+def test_curate_equals_the_staged_oracle(data, gap, fps):
+    boxes, segments = data
+    expected = [cur.STARecord(*r) for r in loop_curate(boxes, segments, gap, fps, "val")]
+    assert cur.curate(boxes, segments, gap=gap, fps=fps, split="val") == expected
 
 
 def test_curate_records_only_cover_input_frames():
@@ -289,10 +253,6 @@ def test_annotation_validation():
         BoxAnnotation("v", -1, "cup", (0.0, 0.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="start < stop"):
         ActionSegment("v", 10, 10, "take", "cup")
-    with pytest.raises(ValueError, match="at least one frame"):
-        ObjectTrack("t", "v", "cup", [])
-    with pytest.raises(ValueError, match="nondecreasing"):
-        ObjectTrack("t", "v", "cup", [(5, (0, 0, 1, 1)), (3, (0, 0, 1, 1))])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])

@@ -243,7 +243,7 @@ def test_zone_db_without_zones_loads_but_cannot_be_queried(tmp_path, doc):
 
 
 @pytest.mark.parametrize("doc, match", [
-    ({"visual": "abc"}, "could not convert"), ({"visual": [1.0, 0.0, 0.0]}, "expected 2 entries"),
+    ({"visual": "abc"}, "list of numbers"), ({"visual": [1.0, 0.0, 0.0]}, "expected 2 entries"),
     ({"visual": [[1.0, 0.0]]}, "list of numbers"), ({"text": [1.0, 0.0]}, "missing"),
     ({"visual": [float("inf"), 0.0]}, "finite"), ({"visual": [1e200, 0.0]}, "squared norm overflows"),
 ])
@@ -319,13 +319,13 @@ PINNED_READER_ERRORS = {
     "box-of-3": ('{"uid": "a", "box": [0, 0, 1], "noun": 1, "verb": 2, "ttc": 1.0, "score": 0.5}',
                  "line 2, field 'box': box must be [x1, y1, x2, y2], got [0, 0, 1]"),
     "box-string": ('{"uid": "a", "box": [0, 0, "x", 1], "noun": 1, "verb": 2, "ttc": 1.0, "score": 0.5}',
-                   "line 2, field 'box': could not convert string to float: 'x'"),
+                   "line 2, field 'box': box must be [x1, y1, x2, y2], got [0, 0, 'x', 1]"),
     "noun-1.5": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1.5, "verb": 2, "ttc": 1.0, "score": 0.5}',
                  "line 2, field 'noun': expected a string or integer label, got 1.5"),
     "verb-true": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1, "verb": true, "ttc": 1.0, "score": 0.5}',
                   "line 2, field 'verb': expected a string or integer label, got True"),
     "ttc-string": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1, "verb": 2, "ttc": "x", "score": 0.5}',
-                   "line 2, field 'ttc': could not convert string to float: 'x'"),
+                   "line 2, field 'ttc': expected a number, got 'x'"),
     "ttc-1e400": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1, "verb": 2, "ttc": 1e400, "score": 0.5}',
                   "line 2: time to contact must be finite and positive, got inf"),
     "list-line": ("[1, 2]", "line 2: expected a JSON object, got [1, 2]"),
@@ -334,7 +334,7 @@ PINNED_READER_ERRORS = {
 }
 PINNED_DETECTION_ERRORS = {
     "score-null": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1, "verb": 2, "ttc": 1.0, "score": null}',
-                   "line 2, field 'score': float() argument must be a string or a real number, not 'NoneType'"),
+                   "line 2, field 'score': expected a number, got None"),
     "noun_probs-NaN": ('{"uid": "a", "box": [0, 0, 1, 1], "noun": 1, "verb": 2, "ttc": 1.0, "score": 0.5, '
                        '"noun_probs": [NaN]}',
                        "line 2, field 'noun_probs': entries must be finite numbers, got [nan]"),
@@ -551,6 +551,15 @@ def test_eval_report_round_trip(tmp_path):
     assert back.counts == {"images": 1, "ground_truth": 1, "predictions_kept": 1}
 
 
+@pytest.mark.parametrize("value", ["0.5", True, None])
+def test_eval_report_rejects_a_map_that_is_no_number(tmp_path, value):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"maps": {"noun": 0.5, "overall": value}}))
+    with pytest.raises(fm.InputError, match="expected a number") as info:
+        fm.read_eval_report(path)
+    assert (info.value.path, info.value.field) == (str(path), "maps")
+
+
 def test_read_json_reports_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
@@ -592,6 +601,10 @@ def read_weights_file(path):
     return fm.attention_weights_from_json(fm.read_json(path), path=str(path))
 
 
+def read_distribution_file(path):
+    return fm.distribution_from_json(fm.read_json(path), path=str(path))
+
+
 # (reader, one valid record or document, whether the file is JSON lines)
 VALID_INPUTS = {
     "clips": (fm.read_clips, {"clip": "c0", "video": "v", "frame": 3, "visual": [1.0, 0.5],
@@ -607,6 +620,7 @@ VALID_INPUTS = {
                  "noun_vocab": ["cup"], "verb_vocab": ["take"], "params": {"theta": 0.5, "M": 5}},
                 False),
     "weights": (read_weights_file, weights_doc(), False),
+    "distribution": (read_distribution_file, {"size": 2, "p": [0.25, 0.75], "vocab": ["cup", 2]}, False),
 }
 
 
@@ -643,6 +657,37 @@ def test_valid_inputs_of_the_property_test_load(tmp_path):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(valid) + "\n")
         read(path)
+
+
+# (reader, path to a number in its valid input, the field the error names); each number in turn
+# becomes a JSON string that float() would parse, then a boolean, which Python counts as an int
+NUMBER_FIELDS = [
+    ("clips", ("visual", 0), "visual"), ("clips", ("text", 1), "text"),
+    ("detections", ("box", 2), "box"), ("detections", ("ttc",), "ttc"), ("detections", ("score",), "score"),
+    ("detections", ("noun_probs", 0), "noun_probs"), ("detections", ("verb_probs", 0), "verb_probs"),
+    ("ground_truth", ("box", 0), "box"), ("ground_truth", ("ttc",), "ttc"),
+    ("hotspot_maps", ("p", 1), "p"),
+    ("zone_db", ("zones", 0, "visual", 0), "zones[0].visual"), ("zone_db", ("zones", 0, "text", 1), "zones[0].text"),
+    ("weights", ("w_o", "data", 0), "w_o.data"), ("weights", ("w_q.h1", "data", 3), "w_q.h1.data"),
+    ("distribution", ("p", 1), "p"),
+]
+
+
+@pytest.mark.parametrize("kind, at, field", NUMBER_FIELDS, ids=["-".join(map(str, (k, *a))) for k, a, _ in NUMBER_FIELDS])
+@pytest.mark.parametrize("make", [lambda v: repr(float(v)), lambda v: bool(v)], ids=["string", "boolean"])
+def test_readers_reject_a_string_or_boolean_number(tmp_path, kind, at, field, make):
+    read, valid, jsonl = VALID_INPUTS[kind]
+    doc = json.loads(json.dumps(valid))
+    *parents, last = at
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = make(target[last])
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(fm.InputError, match=r"number|\[x1, y1, x2, y2\]") as info:
+        read(path)
+    assert (info.value.path, info.value.line, info.value.field) == (str(path), 1 if jsonl else None, field)
 
 
 def test_weights_file_names_the_nested_matrix_field(tmp_path):
