@@ -48,8 +48,9 @@ DEFAULT_K = 4
 DEFAULT_WEIGHTED = True
 DEFAULT_THETA = 0.5
 DEFAULT_RECENT = 5
-# A zone whose screened score lies within this of the k-th is rescored exactly.
-# The screen's rounding error is about d * 1e-16, far below it.
+# A zone whose screened score lies within this of the k-th (knn_query), or a clip
+# whose screened zone choice is this close to a tie (build_zones), is rescored
+# exactly.  The screen's rounding error is about d * 1e-16, far below it.
 _SCREEN_MARGIN = 1e-9
 # How far a probability vector's sum may lie from 1.
 _SUM_TOLERANCE = 1e-9
@@ -246,6 +247,78 @@ def zone_descriptors(members: list[ClipRecord]) -> tuple[np.ndarray, np.ndarray 
     return visual, text
 
 
+def _screened_table(members: list[ClipRecord]) -> np.ndarray | None:
+    """descriptor_similarity_01 of every pair of members, screened by one Gram product.
+
+    Entry (i, j) is 0.5 * (cos + 1) of the visual descriptors of members i
+    and j, and a zero-norm row scores 0.5, as in cosine_similarity.  The
+    entries differ from the oracle's only in rounding, about d * 1e-16.
+    Returns None, and every clip is then scored exactly, unless the visuals
+    stack into one float64 matrix with entries of magnitude at most 1e50
+    and no nonzero row of squared norm below 1e-100: past those bounds the
+    products could over- or underflow and stray further.
+    """
+    try:
+        visual = np.array([m.visual for m in members], dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    if visual.ndim != 2 or not (np.abs(visual) <= 1e50).all():  # NaN fails the bound too
+        return None
+    squares = np.einsum("ij,ij->i", visual, visual)
+    if ((squares < 1e-100) & visual.any(axis=1)).any():
+        return None
+    norms = np.sqrt(squares)
+    denominators = norms[:, None] * norms
+    cos = np.divide(visual @ visual.T, denominators, out=np.zeros(denominators.shape),
+                    where=denominators != 0.0)
+    return 0.5 * (cos + 1.0)
+
+
+def _screened_choice(row: list[float], windows: list[list[int]], theta: float) -> int | None:
+    """_exact_choice for the clip whose screened similarities are row, or None if too close to call.
+
+    A clip is too close to call when an entry it reads is NaN or lies
+    within _SCREEN_MARGIN of 0 or 1, or when its best window mean lies
+    within the margin of theta or of the runner-up's.
+    """
+    best_idx, best_mean, runner_up = -1, -1.0, -1.0
+    for idx, window in enumerate(windows):
+        total = 0.0
+        for j in window:
+            sim = row[j]
+            if not _SCREEN_MARGIN <= sim <= 1.0 - _SCREEN_MARGIN:
+                return None
+            total += sim
+        mean = total / len(window)
+        if mean > best_mean:
+            best_idx, best_mean, runner_up = idx, mean, best_mean
+        elif mean > runner_up:
+            runner_up = mean
+    if best_mean - runner_up <= _SCREEN_MARGIN or abs(best_mean - theta) <= _SCREEN_MARGIN:
+        return None
+    return best_idx if best_mean >= theta else -1
+
+
+def _exact_choice(clip: ClipRecord, windows: list[list[ClipRecord]], same_zone, theta: float) -> int:
+    """The zone whose window has the highest mean same_zone with clip, if it reaches theta; else -1."""
+    best_idx = -1
+    best_mean = -1.0
+    for idx, window in enumerate(windows):
+        total = 0.0
+        for member in window:
+            sim = float(same_zone(clip, member))
+            if not (0.0 <= sim <= 1.0):
+                raise ValueError(
+                    f"similarity oracle returned {sim!r} for clips "
+                    f"({clip.clip_id!r}, {member.clip_id!r}); expected [0, 1]"
+                )
+            total += sim
+        mean = total / len(window)
+        if mean > best_mean:
+            best_idx, best_mean = idx, mean
+    return best_idx if best_idx >= 0 and best_mean >= theta else -1
+
+
 def build_zones(clips: list[ClipRecord], same_zone, theta: float = DEFAULT_THETA,
                 recent: int = DEFAULT_RECENT) -> list[Zone]:
     """Sequentially assign clips (per video, in input order) to zones.
@@ -253,43 +326,48 @@ def build_zones(clips: list[ClipRecord], same_zone, theta: float = DEFAULT_THETA
     same_zone(candidate, member) must return a similarity in [0, 1].  The
     candidate joins the zone with the highest mean similarity over that
     zone's ``recent`` most recent members, provided the mean reaches
-    theta; otherwise it founds a new zone.  The result is a partition of
-    the input clips.
+    theta; otherwise it founds a new zone.  Ties go to the earlier zone.
+    The result is a partition of the input clips.
+
+    When same_zone is this module's descriptor_similarity_01 (looked up at
+    call time, so a wrapper put in its place counts too), one Gram product
+    per video screens every pair, and only a clip too close to call on the
+    screen (see _screened_choice) calls same_zone on its window members.
+    The zones, and the errors raised, are therefore those of calling
+    same_zone on every pair.  Any other oracle is called on every pair.
+    A video's n x n table is held from its first clip to its last.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     if recent < 1:
         raise ValueError(f"recent window must be at least 1, got {recent}")
-    groups: dict[str, list[list[ClipRecord]]] = {}
-    video_order: list[str] = []
+    videos: dict[str, list[ClipRecord]] = {}
+    slots = []  # each clip's position in its video
     for clip in clips:
-        per_video = groups.get(clip.video_id)
-        if per_video is None:
-            per_video = groups[clip.video_id] = []
-            video_order.append(clip.video_id)
-        best_idx = -1
-        best_mean = -1.0
-        for idx, members in enumerate(per_video):
-            window = members[-recent:]
-            total = 0.0
-            for member in window:
-                sim = float(same_zone(clip, member))
-                if not (0.0 <= sim <= 1.0):
-                    raise ValueError(
-                        f"similarity oracle returned {sim!r} for clips "
-                        f"({clip.clip_id!r}, {member.clip_id!r}); expected [0, 1]"
-                    )
-                total += sim
-            mean = total / len(window)
-            if mean > best_mean:
-                best_idx, best_mean = idx, mean
-        if best_idx >= 0 and best_mean >= theta:
-            per_video[best_idx].append(clip)
+        members = videos.setdefault(clip.video_id, [])
+        slots.append(len(members))
+        members.append(clip)
+    screen = same_zone is descriptor_similarity_01
+    tables: dict[str, np.ndarray | None] = {}  # a video's screen, held from its first clip to its last
+    groups: dict[str, list[list[int]]] = {video: [] for video in videos}  # zones as positions in the video
+    for clip, i in zip(clips, slots):
+        video = clip.video_id
+        if i == 0 and screen:
+            tables[video] = _screened_table(videos[video])
+        table = tables.pop(video, None) if i == len(videos[video]) - 1 else tables.get(video)
+        per_video = groups[video]
+        windows = [members[-recent:] for members in per_video]
+        choice = None if table is None else _screened_choice(table[i, :i].tolist(), windows, theta)
+        if choice is None:
+            choice = _exact_choice(clip, [[videos[video][j] for j in w] for w in windows], same_zone, theta)
+        if choice >= 0:
+            per_video[choice].append(i)
         else:
-            per_video.append([clip])
+            per_video.append([i])
     zones: list[Zone] = []
-    for video_id in video_order:
-        for k, members in enumerate(groups[video_id]):
+    for video_id, per_video in groups.items():
+        for k, positions in enumerate(per_video):
+            members = [videos[video_id][j] for j in positions]
             visual, text = zone_descriptors(members)
             zones.append(Zone(
                 zone_id=f"{video_id}:{k}",

@@ -319,15 +319,25 @@ def _write_lines(path, dicts) -> None:
 
 
 def read_clips(path) -> list[ClipRecord]:
-    return list(_records(path, lambda obj: ClipRecord(
-        clip_id=str(_require(obj, "clip")),
-        visual=_convert(obj, "visual", _descriptor),
-        text=_convert(obj, "text", _descriptor, default=None),
-        nouns=frozenset(_convert(obj, "nouns", _labels)),
-        verbs=frozenset(_convert(obj, "verbs", _labels)),
-        video_id=str(_require(obj, "video")),
-        frame_index=_convert(obj, "frame", _int, default=0),
-    )))
+    """The clips in file order; clip 0's visual sets the length of every visual and text."""
+    length = None
+
+    def clip(obj) -> ClipRecord:
+        nonlocal length
+        clip_id = str(_require(obj, "clip"))
+        visual = _convert(obj, "visual", _descriptor, length)
+        length = len(visual)
+        return ClipRecord(
+            clip_id=clip_id,
+            visual=visual,
+            text=_convert(obj, "text", _descriptor, length, default=None),
+            nouns=frozenset(_convert(obj, "nouns", _labels)),
+            verbs=frozenset(_convert(obj, "verbs", _labels)),
+            video_id=str(_require(obj, "video")),
+            frame_index=_convert(obj, "frame", _int, default=0),
+        )
+
+    return list(_records(path, clip))
 
 
 def write_clips(path, clips: list[ClipRecord]) -> None:

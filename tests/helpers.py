@@ -442,3 +442,44 @@ def loop_curate(boxes, segments, gap, fps, split="train"):
                 records.append((t["video_id"], frame, box, t["noun"], seg.verb, (seg.start - frame) / fps, split))
     records.sort(key=lambda r: (r[0], r[1], str(r[3])))
     return records
+
+
+# ---------------------------------------------------------------------------
+# zone building
+
+
+def loop_build_zones(clips, same_zone, theta, recent):
+    """Zones as (zone_id, member clips), each clip scored against every window member.
+
+    Clips are taken in input order.  A clip joins the zone of its video
+    with the highest mean same_zone(clip, member) over that zone's
+    ``recent`` latest members, the earlier zone on a tie, when that mean
+    reaches theta, and founds a new zone otherwise.  A similarity outside
+    [0, 1] raises ValueError.  Passing the package's
+    descriptor_similarity_01 makes this the pairwise loop whose zones and
+    errors build_zones must reproduce.
+    """
+    groups, order = {}, []
+    for clip in clips:
+        if clip.video_id not in groups:
+            groups[clip.video_id] = []
+            order.append(clip.video_id)
+        per_video = groups[clip.video_id]
+        best_idx, best_mean = -1, -1.0
+        for idx, members in enumerate(per_video):
+            window = members[-recent:]
+            total = 0.0
+            for member in window:
+                sim = float(same_zone(clip, member))
+                if not (0.0 <= sim <= 1.0):
+                    raise ValueError(f"similarity oracle returned {sim!r} for clips "
+                                     f"({clip.clip_id!r}, {member.clip_id!r}); expected [0, 1]")
+                total += sim
+            mean = total / len(window)
+            if mean > best_mean:
+                best_idx, best_mean = idx, mean
+        if best_idx >= 0 and best_mean >= theta:
+            per_video[best_idx].append(clip)
+        else:
+            per_video.append([clip])
+    return [(f"{video_id}:{k}", members) for video_id in order for k, members in enumerate(groups[video_id])]

@@ -1,6 +1,8 @@
 """Zone construction, retrieval, and label-prior fusion tests."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stakit import affordance as aff
+from stakit import formats as fm
 from stakit.affordance import (
     CategoricalDistribution,
     ClipRecord,
@@ -17,7 +20,7 @@ from stakit.affordance import (
 )
 from stakit.hotspot import Detection
 
-from helpers import loop_apply_affordance, loop_knn, vote_prior
+from helpers import loop_apply_affordance, loop_build_zones, loop_knn, vote_prior
 
 
 def clip(cid, visual, video="v", nouns=(), verbs=(), text=None, frame=0):
@@ -165,6 +168,156 @@ def test_build_zones_empty_input():
     assert aff.build_zones([], aff.descriptor_similarity_01) == []
 
 
+def oracle_zones(clips, same_zone, theta, recent):
+    """loop_build_zones' partition as Zones, with labels and descriptors merged as build_zones merges them."""
+    return [Zone(zone_id, [m.clip_id for m in members], set().union(*[m.nouns for m in members]),
+                 set().union(*[m.verbs for m in members]), *aff.zone_descriptors(members))
+            for zone_id, members in loop_build_zones(clips, same_zone, theta, recent)]
+
+
+def zone_db_bytes(zones, path):
+    fm.write_zone_db(path, zones, ["cup", "knife"], ["cut"], 0.5, 5)
+    return path.read_bytes()
+
+
+def near_tie_clips(rng, n, d, videos, with_text):
+    """Clips whose similarities often tie exactly or land on 0.5: duplicates, scaled copies,
+    lattice and one-hot vectors (orthogonal pairs), zero vectors; videos interleave."""
+    clips = []
+    for i in range(n):
+        roll = int(rng.integers(6))
+        if roll == 0 and clips:
+            visual = clips[int(rng.integers(len(clips)))].visual.copy()
+        elif roll == 1 and clips:
+            visual = float(rng.choice([-1.0, 0.5, 2.0, 3.0])) * clips[int(rng.integers(len(clips)))].visual
+        elif roll == 2:
+            visual = rng.integers(-1, 2, size=d).astype(np.float64)
+        elif roll == 3:
+            visual = np.eye(d)[int(rng.integers(d))]
+        elif roll == 4:
+            visual = np.zeros(d)
+        else:
+            visual = rng.normal(size=d)
+        clips.append(clip(f"c{i}", visual, video=f"v{int(rng.integers(videos))}",
+                          nouns=rng.choice(["cup", "knife"], int(rng.integers(3)), replace=False).tolist(),
+                          verbs=["cut"] if rng.integers(2) else [],
+                          text=rng.normal(size=d) if with_text else None))
+    return clips
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16), d=st.integers(1, 4), videos=st.integers(1, 3),
+       theta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), recent=st.integers(1, 6),
+       with_text=st.booleans())
+def test_build_zones_equals_the_pairwise_loop(tmp_path_factory, seed, n, d, videos, theta, recent, with_text):
+    clips = near_tie_clips(np.random.default_rng(seed), n, d, videos, with_text)
+    try:
+        want = oracle_zones(clips, aff.descriptor_similarity_01, theta, recent)
+    except ValueError as exc:  # a similarity one rounding outside [0, 1]: build_zones must fail alike
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            aff.build_zones(clips, aff.descriptor_similarity_01, theta, recent)
+        return
+    got = aff.build_zones(clips, aff.descriptor_similarity_01, theta, recent)
+    assert [(z.zone_id, z.clip_ids) for z in got] == [(z.zone_id, z.clip_ids) for z in want]
+    folder = tmp_path_factory.mktemp("zones")
+    assert zone_db_bytes(got, folder / "got.json") == zone_db_bytes(want, folder / "want.json")
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), videos=st.integers(1, 3),
+       on_the_tie=st.booleans())
+def test_build_zones_decides_rounding_close_calls_as_the_pairwise_loop(seed, d, videos, on_the_tie):
+    # per video: p and q mirror each other about u, so u is as close to p's zone as to q's
+    # up to rounding, which the screen and the oracle do differently, and theta lies between
+    # sim(p, q) and sim(u, p); or q is left out and theta is sim(u, p) as the oracle rounds it
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.1, 1.4)
+    clips = []
+    for v in range(videos):
+        u, w = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
+        p, q = math.cos(angle) * u + math.sin(angle) * w, math.cos(angle) * u - math.sin(angle) * w
+        clips += [clip(f"v{v}{name}", rng.uniform(0.5, 3.0) * x, video=f"v{v}")
+                  for name, x in (("p", p), ("q", q), ("u", u)) if not (on_the_tie and name == "q")]
+    sim = aff.descriptor_similarity_01(clips[-1], clips[-2 if on_the_tie else -3])
+    theta = sim if on_the_tie else 0.5 * (0.5 * (math.cos(2 * angle) + 1.0) + sim)
+    got = aff.build_zones(clips, aff.descriptor_similarity_01, theta, aff.DEFAULT_RECENT)
+    want = loop_build_zones(clips, aff.descriptor_similarity_01, theta, aff.DEFAULT_RECENT)
+    assert [z.clip_ids for z in got] == [[m.clip_id for m in members] for _, members in want]
+
+
+@pytest.fixture
+def counted_oracle(monkeypatch):
+    """descriptor_similarity_01 replaced by a wrapper that logs each call, as the benchmark tracer does."""
+    original, calls = aff.descriptor_similarity_01, []
+
+    def counted(a, b):
+        calls.append((a.clip_id, b.clip_id))
+        return original(a, b)
+
+    monkeypatch.setattr(aff, "descriptor_similarity_01", counted)
+    return counted, calls
+
+
+def test_build_zones_screens_well_separated_clips_without_the_oracle(counted_oracle):
+    oracle, calls = counted_oracle
+    rng = np.random.default_rng(17)
+    anchors = rng.normal(size=(4, 16))
+    clips = [clip(f"c{i}", anchors[i % 4] + 0.05 * rng.normal(size=16), video=f"v{i % 3}")
+             for i in range(48)]
+    got = aff.build_zones(clips, oracle, theta=0.9)
+    assert calls == []
+    want = loop_build_zones(clips, oracle, 0.9, aff.DEFAULT_RECENT)
+    assert [(z.zone_id, z.clip_ids) for z in got] == [(zid, [m.clip_id for m in ms]) for zid, ms in want]
+    assert len(got) == 12  # one zone per anchor and video
+
+
+@pytest.mark.parametrize("clips, theta, rescored, want", [
+    # c2 is equally close to both zones: an exact tie, which goes to the earlier zone
+    ([clip("c0", [1.0, 0.0]), clip("c1", [0.0, 1.0]), clip("c2", [1.0, 1.0])], 0.8,
+     [("c2", "c0"), ("c2", "c1")], [["c0", "c2"], ["c1"]]),
+    # c1 is orthogonal to c0, similarity exactly 0.5: a mean equal to theta joins
+    ([clip("c0", [1.0, 0.0]), clip("c1", [0.0, 3.0])], 0.5, [("c1", "c0")], [["c0", "c1"]]),
+    # a zero vector scores 0.5 against everything
+    ([clip("c0", [1.0, 0.0]), clip("c1", [0.0, 0.0])], 0.5, [("c1", "c0")], [["c0", "c1"]]),
+    # a duplicate scores 1 (or a rounding off it), too near the end of the range to screen
+    ([clip("c0", [0.3, 0.7]), clip("c1", [0.3, 0.7])], 0.5, [("c1", "c0")], [["c0", "c1"]]),
+])
+def test_build_zones_rescores_near_ties_with_the_oracle(counted_oracle, clips, theta, rescored, want):
+    oracle, calls = counted_oracle
+    got = aff.build_zones(clips, oracle, theta=theta)
+    assert calls == rescored
+    assert [z.clip_ids for z in got] == want
+    assert want == [[m.clip_id for m in ms] for _, ms in loop_build_zones(clips, oracle, theta, aff.DEFAULT_RECENT)]
+
+
+def test_build_zones_calls_any_other_oracle_on_every_pair(counted_oracle):
+    oracle, calls = counted_oracle
+    clips = [clip(f"c{i}", [1.0, float(i)]) for i in range(4)]
+    aff.build_zones(clips, lambda a, b: oracle(a, b), theta=1.0)  # every clip founds a zone
+    assert calls == [(f"c{i}", f"c{j}") for i in range(4) for j in range(i)]
+
+
+@pytest.mark.parametrize("visuals, message", [
+    ([[1.0, 0.0], [1.0, 0.0, 0.0]], "descriptor length mismatch"),
+    ([[1.0, 0.0], [np.nan, 1.0]], "similarity oracle returned nan"),
+    ([[1.0, 0.0], [np.inf, 1.0]], "similarity oracle returned nan"),
+    ([[1.0, 0.0], None], "descriptor length mismatch"),
+    ([None, None], "similarity oracle returned nan"),
+    ([None], "missing its visual descriptor"),
+])
+def test_build_zones_raises_the_pairwise_errors_on_visuals_that_do_not_stack(visuals, message):
+    clips = [ClipRecord(f"c{i}", None if v is None else np.asarray(v, dtype=np.float64), None,
+                        frozenset(), frozenset(), "v", i) for i, v in enumerate(visuals)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message) as info:
+            aff.build_zones(clips, aff.descriptor_similarity_01)
+        if len(clips) > 1:
+            with pytest.raises(ValueError) as want:
+                loop_build_zones(clips, aff.descriptor_similarity_01, aff.DEFAULT_THETA, aff.DEFAULT_RECENT)
+            assert str(info.value) == str(want.value)
+
+
 # ---------------------------------------------------------------------------
 # knn retrieval
 
@@ -250,7 +403,7 @@ def random_zone_db(rng, n, d):
     return zones
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(n=st.integers(1, 12), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        query_kind=st.sampled_from(["normal", "integer", "zone", "zero"]), data=st.data())
 def test_knn_equals_the_per_zone_loop_exactly(n, d, seed, query_kind, data):

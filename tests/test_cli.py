@@ -157,6 +157,25 @@ def test_afford_query_bad_input_exits_two_naming_file_and_field(tmp_path, capsys
     assert record["field"] == field
 
 
+@pytest.mark.parametrize("rows, line, field", [
+    # a text longer than its visual used to pass here and fail only when afford query read the database
+    ([{**CLIP_ROWS[0], "text": [0.0, 1.0, 0.0]}], 1, "text"),
+    # visuals of two lengths in one video used to exit 1 with an unlocated length mismatch
+    ([CLIP_ROWS[0], {**CLIP_ROWS[0], "clip": "c1", "visual": [0.8, 0.6, 0.0], "text": None}], 2, "visual"),
+])
+def test_zones_build_rejects_descriptor_lengths_unlike_clip_zeros(tmp_path, capsys, rows, line, field):
+    clips_path = tmp_path / "clips.jsonl"
+    write_jsonl(clips_path, rows)
+    zones_path = tmp_path / "zones.json"
+    code, out, err = run_cli(["zones", "build", "--clips", str(clips_path), "--out", str(zones_path)], capsys)
+    assert code == 2, err
+    record = json.loads(err)["error"]
+    assert record["type"] == "InputError"
+    assert (record["file"], record["line"], record["field"]) == (str(clips_path), line, field)
+    assert "expected 2 entries, got 3" in record["message"]
+    assert not zones_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # afford fuse
 

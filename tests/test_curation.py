@@ -227,7 +227,7 @@ def annotations(draw):
     return boxes, segments
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(data=annotations(), gap=st.sampled_from([0, 30]), fps=st.sampled_from([30.0, 25.0, 59.94]))
 def test_curate_equals_the_staged_oracle(data, gap, fps):
     boxes, segments = data

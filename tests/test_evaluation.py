@@ -330,7 +330,7 @@ def bits(table):
     return {key: value.hex() if isinstance(value, float) else bits(value) for key, value in table.items()}
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), n_images=st.integers(1, 5), quantize=st.booleans(),
        top_k=st.sampled_from([1, 5]), thresholds=st.sampled_from([(0.5, 0.25), (0.3, 0.1)]))
 def test_evaluate_equals_the_per_class_loop_oracle_bit_for_bit(seed, n_images, quantize, top_k, thresholds):

@@ -167,6 +167,24 @@ def test_read_clips_names_unreadable_field(tmp_path, field, value):
     assert (info.value.path, info.value.line, info.value.field) == (str(path), 1, field)
 
 
+@pytest.mark.parametrize("rows, line, field", [
+    ([{"visual": [1.0, 0.0], "text": [1.0, 0.0, 0.0]}], 1, "text"),
+    ([{"visual": [1.0, 0.0], "text": [1.0]}], 1, "text"),
+    ([{"visual": [1.0, 0.0]}, {"visual": [1.0, 0.0, 2.0]}], 2, "visual"),
+    ([{"visual": [1.0, 0.0]}, {"visual": [1.0, 0.0], "text": [0.0]}], 2, "text"),
+    # clip 0 sets the length for every video, not only its own
+    ([{"visual": [1.0, 0.0]}, {"visual": [1.0], "video": "w"}], 2, "visual"),
+])
+def test_read_clips_holds_every_descriptor_to_clip_zeros_visual_length(tmp_path, rows, line, field):
+    path = tmp_path / "clips.jsonl"
+    base = {"clip": "c", "video": "v", "nouns": [], "verbs": []}
+    path.write_text("".join(json.dumps({**base, **row}) + "\n" for row in rows))
+    with pytest.raises(fm.InputError) as info:
+        fm.read_clips(path)
+    assert (info.value.path, info.value.line, info.value.field) == (str(path), line, field)
+    assert "entries, got" in str(info.value)
+
+
 def test_zone_db_round_trip_byte_identical(tmp_path):
     clips = sample_clips()
     zones = build_zones(clips, descriptor_similarity_01, theta=0.5, recent=5)
@@ -633,7 +651,7 @@ def field_paths(value, prefix=()):
 
 
 @pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_value_in_any_field_returns_or_raises_located_error(tmp_path, kind, data):
     read, valid, jsonl = VALID_INPUTS[kind]

@@ -103,7 +103,7 @@ COORDINATE = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(h=st.integers(1, 40), w=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        x=COORDINATE, y=COORDINATE, bilinear=st.booleans())
 def test_sample_at_equals_the_scalar_loop_bit_for_bit(h, w, seed, x, y, bilinear):
@@ -126,7 +126,7 @@ def test_sample_clamps_infinite_points_and_rejects_nan(bilinear):
 # re-weighting
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), n_maps=st.integers(1, 5), n_dets=st.integers(1, 30),
        bilinear=st.booleans())
 def test_reweight_equals_the_per_detection_loop_over_maps_of_mixed_shapes(seed, n_maps, n_dets, bilinear):

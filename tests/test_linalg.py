@@ -245,7 +245,7 @@ def test_softmax_of_a_stack_equals_each_slice_alone():
             assert np.array_equal(out[idx], linalg.softmax_rows(m[idx])), (shape, idx)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(small_matrices())
 def test_softmax_rows_sum_to_one(m):
     out = linalg.softmax_rows(m)
@@ -254,7 +254,7 @@ def test_softmax_rows_sum_to_one(m):
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(small_matrices(), st.floats(-30, 30, allow_nan=False))
 def test_softmax_shift_invariance(m, shift):
     assert np.allclose(linalg.softmax_rows(m + shift), linalg.softmax_rows(m),
