@@ -220,8 +220,13 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def descriptor_similarity_01(a: ClipRecord, b: ClipRecord) -> float:
-    """Default zone-building oracle: visual cosine rescaled into [0, 1]."""
-    return 0.5 * (cosine_similarity(a.visual, b.visual) + 1.0)
+    """Default zone-building oracle: visual cosine rescaled into [0, 1].
+
+    The result is clipped into [0, 1], so a cosine that rounds just past
+    -1 or 1 (opposite or equal descriptors) scores 0 or 1; NaN stays NaN,
+    since max and min keep their first argument when a comparison fails.
+    """
+    return min(max(0.5 * (cosine_similarity(a.visual, b.visual) + 1.0), 0.0), 1.0)
 
 
 def zone_descriptors(members: list[ClipRecord]) -> tuple[np.ndarray, np.ndarray | None]:

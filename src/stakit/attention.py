@@ -59,23 +59,26 @@ LN_EPS = 1e-6
 class AttentionWeights:
     """Projection weights for one multi-head attention block.
 
-    w_q, w_k, w_v hold one (d_model, d_head) matrix per head; w_o maps the
+    w_q, w_k, w_v are (heads, d_model, d_head) float64 stacks, one slice per
+    head; construction takes such a stack or a sequence of per-head
+    (d_model, d_head) matrices and stores the stack.  w_o maps the
     concatenated head outputs (heads * d_head) back to d_model.
     """
 
-    w_q: list[np.ndarray]
-    w_k: list[np.ndarray]
-    w_v: list[np.ndarray]
+    w_q: np.ndarray
+    w_k: np.ndarray
+    w_v: np.ndarray
     w_o: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.w_q or len(self.w_q) != len(self.w_k) or len(self.w_q) != len(self.w_v):
+        if not len(self.w_q) or len(self.w_q) != len(self.w_k) or len(self.w_q) != len(self.w_v):
             raise ValueError("w_q, w_k, w_v need one matrix per head")
         d_model, d_head = self.w_q[0].shape
-        for name, mats in (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v)):
-            for h, m in enumerate(mats):
+        for name in ("w_q", "w_k", "w_v"):
+            for h, m in enumerate(getattr(self, name)):
                 if m.shape != (d_model, d_head):
                     raise ValueError(f"{name}.h{h} has shape {m.shape}, expected {(d_model, d_head)}")
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.w_o.shape != (len(self.w_q) * d_head, d_model):
             raise ValueError(
                 f"w_o has shape {self.w_o.shape}, expected {(len(self.w_q) * d_head, d_model)}"
@@ -83,36 +86,31 @@ class AttentionWeights:
 
     @property
     def heads(self) -> int:
-        return len(self.w_q)
+        return self.w_q.shape[0]
 
     @property
     def d_model(self) -> int:
-        return self.w_q[0].shape[0]
+        return self.w_q.shape[1]
 
     @property
     def d_head(self) -> int:
-        return self.w_q[0].shape[1]
+        return self.w_q.shape[2]
 
     @classmethod
     def identity(cls, d_model: int) -> "AttentionWeights":
         """Single head, all projections the identity. Handy in tests."""
-        eye = np.eye(d_model)
-        return cls(w_q=[eye.copy()], w_k=[eye.copy()], w_v=[eye.copy()], w_o=eye.copy())
+        return cls(w_q=[np.eye(d_model)], w_k=[np.eye(d_model)], w_v=[np.eye(d_model)], w_o=np.eye(d_model))
 
     @classmethod
-    def random(cls, rng: np.random.Generator, d_model: int, heads: int, d_head: int | None = None,
+    def random(cls, rng: np.random.Generator, d_model: int, heads: int,
                scale: float = 0.5) -> "AttentionWeights":
-        d_head = d_head if d_head is not None else d_model // heads
-        draw = lambda r, c: rng.normal(scale=scale, size=(r, c))
-        return cls(
-            w_q=[draw(d_model, d_head) for _ in range(heads)],
-            w_k=[draw(d_model, d_head) for _ in range(heads)],
-            w_v=[draw(d_model, d_head) for _ in range(heads)],
-            w_o=draw(heads * d_head, d_model),
-        )
+        d_head = d_model // heads
+        draw = lambda *shape: rng.normal(scale=scale, size=shape)
+        return cls(w_q=draw(heads, d_model, d_head), w_k=draw(heads, d_model, d_head),
+                   w_v=draw(heads, d_model, d_head), w_o=draw(heads * d_head, d_model))
 
     def with_zero_values(self) -> "AttentionWeights":
-        return replace(self, w_v=[np.zeros_like(m) for m in self.w_v])
+        return replace(self, w_v=np.zeros_like(self.w_v))
 
 
 @dataclass
@@ -223,28 +221,22 @@ def _attend_forward(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights):
 
 def _attend_backward(d_out: np.ndarray, cache: dict, w: AttentionWeights):
     q_src, kv_src = cache["q_src"], cache["kv_src"]
-    scale = cache["scale"]
+    q, k, v, probs = (np.stack(t) for t in zip(*cache["heads"]))  # each (heads, rows, cols)
     d_concat = linalg.matmul(d_out, w.w_o.T)
     d_wo = linalg.matmul(cache["concat"].T, d_out)
-    d_q_src = np.zeros_like(q_src)
-    d_kv_src = np.zeros_like(kv_src)
-    d_wq, d_wk, d_wv = [], [], []
-    dh = w.d_head
-    for h, (q, k, v, probs) in enumerate(cache["heads"]):
-        d_o = d_concat[:, h * dh:(h + 1) * dh]
-        d_probs = linalg.matmul(d_o, v.T)
-        d_v = linalg.matmul(probs.T, d_o)
-        # softmax jacobian: dS = P * (dP - rowsum(P * dP))
-        d_scores = probs * (d_probs - np.sum(probs * d_probs, axis=1, keepdims=True))
-        d_qk = d_scores * scale
-        d_q = linalg.matmul(d_qk, k)
-        d_k = linalg.matmul(d_qk.T, q)
-        d_q_src += linalg.matmul(d_q, w.w_q[h].T)
-        d_kv_src += linalg.matmul(d_k, w.w_k[h].T) + linalg.matmul(d_v, w.w_v[h].T)
-        d_wq.append(linalg.matmul(q_src.T, d_q))
-        d_wk.append(linalg.matmul(kv_src.T, d_k))
-        d_wv.append(linalg.matmul(kv_src.T, d_v))
-    grads = AttentionWeights(w_q=d_wq, w_k=d_wk, w_v=d_wv, w_o=d_wo)
+    d_o = d_concat.reshape(d_concat.shape[0], w.heads, w.d_head).swapaxes(0, 1)
+    d_probs = linalg.matmul(d_o, v.swapaxes(-1, -2))
+    d_v = linalg.matmul(probs.swapaxes(-1, -2), d_o)
+    # softmax jacobian: dS = P * (dP - rowsum(P * dP))
+    d_scores = probs * (d_probs - np.sum(probs * d_probs, axis=-1, keepdims=True))
+    d_qk = d_scores * cache["scale"]
+    d_q = linalg.matmul(d_qk, k)
+    d_k = linalg.matmul(d_qk.swapaxes(-1, -2), q)
+    # the builtin sum adds the heads' source gradients to 0 in head order
+    d_q_src = sum(linalg.matmul(d_q, w.w_q.swapaxes(-1, -2)))
+    d_kv_src = sum(linalg.matmul(d_k, w.w_k.swapaxes(-1, -2)) + linalg.matmul(d_v, w.w_v.swapaxes(-1, -2)))
+    grads = AttentionWeights(w_q=linalg.matmul(q_src.T, d_q), w_k=linalg.matmul(kv_src.T, d_k),
+                             w_v=linalg.matmul(kv_src.T, d_v), w_o=d_wo)
     return d_q_src, d_kv_src, grads
 
 
@@ -456,26 +448,14 @@ class GradCheckReport:
 
 
 def _named_attention_arrays(prefix: str, w: AttentionWeights) -> dict[str, np.ndarray]:
-    named = {}
-    for h in range(w.heads):
-        named[f"{prefix}w_q.h{h}"] = w.w_q[h]
-        named[f"{prefix}w_k.h{h}"] = w.w_k[h]
-        named[f"{prefix}w_v.h{h}"] = w.w_v[h]
-    named[f"{prefix}w_o"] = w.w_o
-    return named
+    named = {f"{prefix}{name}.h{h}": getattr(w, name)[h]
+             for h in range(w.heads) for name in ("w_q", "w_k", "w_v")}
+    return named | {f"{prefix}w_o": w.w_o}
 
 
-def _named_mlp_arrays(prefix: str, m: MlpWeights) -> dict[str, np.ndarray]:
-    return {f"{prefix}w1": m.w1, f"{prefix}b1": m.b1, f"{prefix}w2": m.w2, f"{prefix}b2": m.b2}
-
-
-def _named_bundle_arrays(prefix: str, b: TokenBundle) -> dict[str, np.ndarray]:
-    named = {f"{prefix}tokens": b.tokens}
-    if b.class_token is not None:
-        named[f"{prefix}class_token"] = b.class_token
-    if b.positional is not None:
-        named[f"{prefix}positional"] = b.positional
-    return named
+def _named_fields(prefix: str, fields) -> dict[str, np.ndarray]:
+    """The arrays of a weights or token dataclass by field, skipping absent ones."""
+    return {f"{prefix}{name}": arr for name, arr in vars(fields).items() if arr is not None}
 
 
 def _loss(outputs: list[np.ndarray]):
@@ -536,12 +516,12 @@ def _mha_like_case(q_name: str, kv_name: str):
 def _dual_case(inputs, weights):
     image, video = inputs
     w_image, w_video, mlp = weights
-    params = {**_named_bundle_arrays("image.", image),
-              **_named_bundle_arrays("video.", video),
+    params = {**_named_fields("image.", image),
+              **_named_fields("video.", video),
               **_named_attention_arrays("image_branch.", w_image),
               **_named_attention_arrays("video_branch.", w_video),
-              **_named_mlp_arrays("mlp.image.", mlp.image),
-              **_named_mlp_arrays("mlp.video.", mlp.video)}
+              **_named_fields("mlp.image.", mlp.image),
+              **_named_fields("mlp.video.", mlp.video)}
 
     # Stages of the unperturbed pass.  A weight tensor only feeds its own
     # branch, so perturbing it recomputes that branch from here on and
@@ -563,8 +543,8 @@ def _dual_case(inputs, weights):
              "video.tokens": d_x_v[:-1], "video.class_token": d_x_v[-1],
              **_named_attention_arrays("image_branch.", g_image),
              **_named_attention_arrays("video_branch.", g_video),
-             **_named_mlp_arrays("mlp.image.", g_mlp_i),
-             **_named_mlp_arrays("mlp.video.", g_mlp_v)}
+             **_named_fields("mlp.image.", g_mlp_i),
+             **_named_fields("mlp.video.", g_mlp_v)}
     if image.positional is not None:
         grads["image.positional"] = d_x_i
     if video.positional is not None:

@@ -2,13 +2,17 @@
 
 Everything here is written with plain Python loops and ``math`` so that a
 bug in the package's vectorised code cannot hide in a shared helper.  The
-only allowed import from the package is nothing at all.
+only allowed import from the package is nothing at all.  The exception is
+``loop_attend_backward``: it keeps the package's numpy kernels, passed in,
+so that its bits can be compared with the stacked pass it replaced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # small dense kernels on lists of lists
@@ -78,6 +82,37 @@ def loop_attention(q_rows, kv_rows, w_q, w_k, w_v, w_o):
         for i, row in enumerate(out):
             concat[i].extend(row)
     return loop_matmul(concat, w_o)
+
+
+def loop_attend_backward(d_out, cache, w, matmul):
+    """The attention backward pass one head at a time, accumulating into zeros.
+
+    d_out is the gradient of the attention output (before the residual),
+    cache the ``_attend_forward`` cache, w the weights and matmul the
+    package's ``linalg.matmul``.  Returns (d_q_src, d_kv_src, d_wq, d_wk,
+    d_wv, d_wo), with the three projection gradients as per-head lists.
+    """
+    q_src, kv_src, scale = cache["q_src"], cache["kv_src"], cache["scale"]
+    d_concat = matmul(d_out, w.w_o.T)
+    d_wo = matmul(cache["concat"].T, d_out)
+    d_q_src = np.zeros_like(q_src)
+    d_kv_src = np.zeros_like(kv_src)
+    d_wq, d_wk, d_wv = [], [], []
+    dh = w.d_head
+    for h, (q, k, v, probs) in enumerate(cache["heads"]):
+        d_o = d_concat[:, h * dh:(h + 1) * dh]
+        d_probs = matmul(d_o, v.T)
+        d_v = matmul(probs.T, d_o)
+        d_scores = probs * (d_probs - np.sum(probs * d_probs, axis=1, keepdims=True))
+        d_qk = d_scores * scale
+        d_q = matmul(d_qk, k)
+        d_k = matmul(d_qk.T, q)
+        d_q_src += matmul(d_q, w.w_q[h].T)
+        d_kv_src += matmul(d_k, w.w_k[h].T) + matmul(d_v, w.w_v[h].T)
+        d_wq.append(matmul(q_src.T, d_q))
+        d_wk.append(matmul(kv_src.T, d_k))
+        d_wv.append(matmul(kv_src.T, d_v))
+    return d_q_src, d_kv_src, d_wq, d_wk, d_wv, d_wo
 
 
 def loop_mlp(rows, w1, b1, w2, b2):

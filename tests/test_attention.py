@@ -6,8 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stakit import attention as att
+from stakit import linalg
 from stakit.attention import (
     AttentionWeights,
     DualMlpWeights,
@@ -15,8 +18,8 @@ from stakit.attention import (
     TokenBundle,
 )
 
-from helpers import (loop_attention, loop_dual, loop_gelu, loop_gelu_grad, loop_grad_check,
-                     loop_layer_norm)
+from helpers import (loop_attend_backward, loop_attention, loop_dual, loop_gelu, loop_gelu_grad,
+                     loop_grad_check, loop_layer_norm)
 
 
 def weight_lists(w: AttentionWeights):
@@ -40,6 +43,43 @@ def test_attention_weights_validate_shapes():
         AttentionWeights(w_q=[eye], w_k=[np.eye(2)], w_v=[eye], w_o=eye)
     with pytest.raises(ValueError, match="w_o"):
         AttentionWeights(w_q=[eye], w_k=[eye], w_v=[eye], w_o=np.eye(4))
+    with pytest.raises(ValueError, match=r"w_k.h1 has shape \(3, 2\), expected \(3, 3\)"):
+        AttentionWeights(w_q=np.zeros((2, 3, 3)), w_k=[eye, np.zeros((3, 2))], w_v=np.zeros((2, 3, 3)),
+                         w_o=np.zeros((6, 3)))
+    with pytest.raises(ValueError, match="one matrix per head"):
+        AttentionWeights(w_q=np.zeros((0, 3, 3)), w_k=[], w_v=[], w_o=np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("as_stack", [False, True])
+def test_attention_weights_store_one_stack_per_projection(as_stack):
+    rng = np.random.default_rng(60)
+    mats = {name: [rng.normal(size=(4, 2)) for _ in range(3)] for name in ("w_q", "w_k", "w_v")}
+    passed = {name: np.stack(m) if as_stack else m for name, m in mats.items()}
+    w = AttentionWeights(**passed, w_o=rng.normal(size=(6, 4)))
+    assert (w.heads, w.d_model, w.d_head) == (3, 4, 2)
+    for name, m in mats.items():
+        stack = getattr(w, name)
+        assert isinstance(stack, np.ndarray) and stack.dtype == np.float64 and stack.shape == (3, 4, 2)
+        assert stack.tobytes() == np.stack(m).tobytes()
+
+
+def test_random_weights_draw_the_per_head_stream():
+    # one (heads, d_model, d_head) draw per projection takes the same numbers
+    # as one (d_model, d_head) draw per head did
+    w = AttentionWeights.random(np.random.default_rng(61), 6, 3, scale=0.3)
+    rng = np.random.default_rng(61)
+    for name in ("w_q", "w_k", "w_v"):
+        per_head = [rng.normal(scale=0.3, size=(6, 2)) for _ in range(3)]
+        assert getattr(w, name).tobytes() == np.stack(per_head).tobytes()
+    assert w.w_o.tobytes() == rng.normal(scale=0.3, size=(6, 6)).tobytes()
+
+
+def test_identity_and_zero_values_keep_the_stack_shape():
+    w = AttentionWeights.identity(3)
+    assert w.w_q.shape == w.w_k.shape == w.w_v.shape == (1, 3, 3)
+    assert np.array_equal(w.w_q[0], np.eye(3)) and np.array_equal(w.w_o, np.eye(3))
+    zero = AttentionWeights.random(np.random.default_rng(62), 4, 2).with_zero_values()
+    assert zero.w_v.shape == (2, 4, 2) and not zero.w_v.any()
 
 
 def test_token_bundle_validates_shapes():
@@ -435,6 +475,28 @@ def test_grad_check_linear_case_is_nearly_exact():
     w = AttentionWeights.random(rng, 4, 1)
     report = att.grad_check("mha", (q, kv), w, epsilon=1e-2)
     assert report.max_rel_error <= 1e-9
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), heads=st.integers(1, 4), d_head=st.integers(1, 4),
+       d_model=st.integers(1, 6), n_q=st.integers(1, 5), n_kv=st.integers(1, 5), sparse=st.booleans())
+def test_attend_backward_equals_the_per_head_loop(seed, heads, d_head, d_model, n_q, n_kv, sparse):
+    rng = np.random.default_rng(seed)
+    stacks = {name: rng.normal(size=(heads, d_model, d_head)) for name in ("w_q", "w_k", "w_v")}
+    w = AttentionWeights(**stacks, w_o=rng.normal(size=(heads * d_head, d_model)))
+    q_src, kv_src = rng.normal(size=(n_q, d_model)), rng.normal(size=(n_kv, d_model))
+    d_out = rng.normal(size=(n_q, d_model))
+    if sparse:  # zero rows and entries, where a sum's sign of zero could differ
+        d_out *= rng.integers(0, 2, size=(n_q, 1)) * rng.integers(0, 2, size=(n_q, d_model))
+    _, cache = att._attend_forward(q_src, kv_src, w)
+    d_q_src, d_kv_src, grads = att._attend_backward(d_out, cache, w)
+    want_q, want_kv, want_wq, want_wk, want_wv, want_wo = loop_attend_backward(d_out, cache, w, linalg.matmul)
+    assert d_q_src.tobytes() == want_q.tobytes()
+    assert d_kv_src.tobytes() == want_kv.tobytes()
+    assert grads.w_q.tobytes() == np.stack(want_wq).tobytes()
+    assert grads.w_k.tobytes() == np.stack(want_wk).tobytes()
+    assert grads.w_v.tobytes() == np.stack(want_wv).tobytes()
+    assert grads.w_o.tobytes() == want_wo.tobytes()
 
 
 @pytest.mark.parametrize("op", att.GRAD_CHECK_OPS)

@@ -157,6 +157,18 @@ def test_afford_query_bad_input_exits_two_naming_file_and_field(tmp_path, capsys
     assert record["field"] == field
 
 
+def test_zones_build_splits_opposite_visuals(tmp_path, capsys):
+    # their cosine rounds to just below -1, which the similarity used to report out of [0, 1] (exit 1)
+    rows = [{"clip": "a", "video": "v", "frame": 0, "visual": [1.0, 1.0, 1.0], "nouns": [], "verbs": []},
+            {"clip": "b", "video": "v", "frame": 1, "visual": [-1.0, -1.0, -1.0], "nouns": [], "verbs": []}]
+    clips_path = tmp_path / "clips.jsonl"
+    write_jsonl(clips_path, rows)
+    zones_path = tmp_path / "zones.json"
+    code, out, err = run_cli(["zones", "build", "--clips", str(clips_path), "--out", str(zones_path)], capsys)
+    assert code == 0, err
+    assert json.loads(out) == {"clips": 2, "zones": 2, "out": str(zones_path)}
+
+
 @pytest.mark.parametrize("rows, line, field", [
     # a text longer than its visual used to pass here and fail only when afford query read the database
     ([{**CLIP_ROWS[0], "text": [0.0, 1.0, 0.0]}], 1, "text"),
@@ -430,19 +442,29 @@ def test_attn_check_grad_cli(capsys):
     assert isinstance(result["worst"], str)
 
 
-# what the per-scalar loop (helpers.loop_grad_check) reports; the stacked
+# what the per-scalar loop (helpers.loop_grad_check) reports, by op and
+# extra flags (the default is --d-model 8 --heads 2); the stacked
 # grad_check must print it byte for byte
 CHECK_GRAD_SEED_3 = {
-    "mha": (5.16217650176333e-10, 312, "w_k.h0"),
-    "frame_guided_pooling": (1.135728473190766e-09, 328, "w_q.h0"),
-    "dual_attention": (4.928164399134572e-10, 1744, "video_branch.w_q.h1"),
+    ("mha", ""): (5.16217650176333e-10, 312, "w_k.h0"),
+    ("mha", "--heads 1"): (2.0915874792615488e-10, 312, "w_k.h0"),
+    ("mha", "--heads 4"): (1.1547225983882143e-09, 312, "w_k.h2"),
+    ("mha", "--d-model 8 --heads 8"): (1.589691784914213e-09, 312, "w_k.h6"),
+    ("frame_guided_pooling", ""): (1.135728473190766e-09, 328, "w_q.h0"),
+    ("frame_guided_pooling", "--heads 1"): (4.4793810110605744e-10, 328, "w_q.h0"),
+    ("frame_guided_pooling", "--heads 4"): (9.003653276862138e-10, 328, "w_k.h1"),
+    ("frame_guided_pooling", "--d-model 8 --heads 8"): (1.870307568048733e-09, 328, "w_k.h7"),
+    ("dual_attention", ""): (4.928164399134572e-10, 1744, "video_branch.w_q.h1"),
+    ("dual_attention", "--heads 1"): (3.5867530517004287e-10, 1744, "mlp.image.b1"),
+    ("dual_attention", "--heads 4"): (1.1073770596147604e-09, 1744, "video_branch.w_q.h0"),
+    ("dual_attention", "--d-model 8 --heads 8"): (2.709081903488155e-08, 1744, "video_branch.w_q.h3"),
 }
 
 
-@pytest.mark.parametrize("op", sorted(CHECK_GRAD_SEED_3))
-def test_attn_check_grad_output_is_golden(op, capsys):
-    max_rel_error, params_checked, worst = CHECK_GRAD_SEED_3[op]
-    code, out, err = run_cli(["attn", "check-grad", "--op", op, "--seed", "3"], capsys)
+@pytest.mark.parametrize("op, flags", sorted(CHECK_GRAD_SEED_3))
+def test_attn_check_grad_output_is_golden(op, flags, capsys):
+    max_rel_error, params_checked, worst = CHECK_GRAD_SEED_3[op, flags]
+    code, out, err = run_cli(["attn", "check-grad", "--op", op, "--seed", "3", *flags.split()], capsys)
     assert code == 0, err
     assert out == (f'{{\n  "op": "{op}",\n  "seed": 3,\n  "epsilon": 1e-05,\n'
                    f'  "max_rel_error": {max_rel_error!r},\n  "params_checked": {params_checked},\n'

@@ -83,11 +83,11 @@ def test_attention_weights_round_trip():
     doc = json.loads(json.dumps(fm.attention_weights_to_json(w)))
     back = fm.attention_weights_from_json(doc)
     assert back.heads == 2
-    for h in range(2):
-        assert np.array_equal(back.w_q[h], w.w_q[h])
-        assert np.array_equal(back.w_k[h], w.w_k[h])
-        assert np.array_equal(back.w_v[h], w.w_v[h])
+    for name in ("w_q", "w_k", "w_v"):  # the per-head matrices come back as one stack
+        assert getattr(back, name).shape == (2, 6, 3)
+        assert np.array_equal(getattr(back, name), getattr(w, name))
     assert np.array_equal(back.w_o, w.w_o)
+    assert json.dumps(fm.attention_weights_to_json(back)) == json.dumps(doc)
 
 
 def test_mlp_weights_round_trip():
