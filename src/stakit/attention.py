@@ -74,6 +74,8 @@ class AttentionWeights:
         if not len(self.w_q) or len(self.w_q) != len(self.w_k) or len(self.w_q) != len(self.w_v):
             raise ValueError("w_q, w_k, w_v need one matrix per head")
         d_model, d_head = self.w_q[0].shape
+        if d_head == 0:
+            raise ValueError("heads have width 0; each head needs at least one column")
         for name in ("w_q", "w_k", "w_v"):
             for h, m in enumerate(getattr(self, name)):
                 if m.shape != (d_model, d_head):
@@ -104,6 +106,8 @@ class AttentionWeights:
     @classmethod
     def random(cls, rng: np.random.Generator, d_model: int, heads: int,
                scale: float = 0.5) -> "AttentionWeights":
+        if not 1 <= heads <= d_model:
+            raise ValueError(f"heads must be between 1 and d_model; got heads={heads}, d_model={d_model}")
         d_head = d_model // heads
         draw = lambda *shape: rng.normal(scale=scale, size=shape)
         return cls(w_q=draw(heads, d_model, d_head), w_k=draw(heads, d_model, d_head),
@@ -447,41 +451,52 @@ class GradCheckReport:
         }
 
 
-def _named_attention_arrays(prefix: str, w: AttentionWeights) -> dict[str, np.ndarray]:
-    named = {f"{prefix}{name}.h{h}": getattr(w, name)[h]
-             for h in range(w.heads) for name in ("w_q", "w_k", "w_v")}
-    return named | {f"{prefix}w_o": w.w_o}
-
-
-def _named_fields(prefix: str, fields) -> dict[str, np.ndarray]:
-    """The arrays of a weights or token dataclass by field, skipping absent ones."""
-    return {f"{prefix}{name}": arr for name, arr in vars(fields).items() if arr is not None}
-
-
 def _loss(outputs: list[np.ndarray]):
     """sum(y ** 2) / 2 over the outputs; one loss per slice when they are stacks."""
     return 0.5 * sum(np.sum(y * y, axis=(-2, -1)) for y in outputs)
 
 
-def _attend_after_change(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights,
-                         base: dict, name: str, value: np.ndarray) -> np.ndarray:
-    """Attention output after the weight ``name`` of ``w`` ("w_o", "w_q.h0",
-    ...) took ``value``, one matrix or a stack of them, since the pass that
-    produced ``base``, the cache of ``_attend_forward``.
+def _attend_after_change(w: AttentionWeights, base: dict, kind: str, h: int,
+                         value: np.ndarray) -> np.ndarray:
+    """Attention output after head ``h``'s ``kind`` projection ("w_q", "w_k"
+    or "w_v") of ``w`` took ``value``, one matrix or a stack of them, since
+    the pass that produced ``base``, the cache of ``_attend_forward``.
 
-    w_o only enters the output projection, and a head's projections only
-    that head's slice of the concatenated outputs, so the rest is reused;
-    the arithmetic matches a full pass bit for bit, slice by slice.
+    A head's projections only enter that head's slice of the concatenated
+    outputs, so the other heads' slices are reused; the arithmetic matches a
+    full pass bit for bit, slice by slice.
     """
-    if name == "w_o":
-        return linalg.matmul(base["concat"], value)
-    kind, _, head = name.rpartition(".h")
-    h = int(head)
     mats = {"w_q": w.w_q[h], "w_k": w.w_k[h], "w_v": w.w_v[h], kind: value}
-    out_h, _ = _attend_head(q_src, kv_src, mats["w_q"], mats["w_k"], mats["w_v"], base["scale"])
+    out_h, _ = _attend_head(base["q_src"], base["kv_src"], mats["w_q"], mats["w_k"], mats["w_v"], base["scale"])
     concat = np.broadcast_to(base["concat"], out_h.shape[:-1] + base["concat"].shape[-1:]).copy()
     concat[..., h * w.d_head:(h + 1) * w.d_head] = out_h
     return linalg.matmul(concat, w.w_o)
+
+
+def _attention_entries(prefix: str, w: AttentionWeights, base: dict, grads: AttentionWeights, finish):
+    """Checked-tensor entries of one attention block's weights: each head's
+    w_q, w_k and w_v in head order, then w_o.  ``finish(out)`` turns a stack
+    of the block's outputs into losses; w_o only enters the output
+    projection, so its stack multiplies the cached concatenation."""
+    def head_losses(kind, h):
+        return lambda stack: finish(_attend_after_change(w, base, kind, h, stack))
+
+    for h in range(w.heads):
+        for kind in ("w_q", "w_k", "w_v"):
+            yield f"{prefix}{kind}.h{h}", (getattr(w, kind)[h], getattr(grads, kind)[h], head_losses(kind, h))
+    yield f"{prefix}w_o", (w.w_o, grads.w_o, lambda stack: finish(linalg.matmul(base["concat"], stack)))
+
+
+def _field_entries(prefix: str, fields, grads: dict, rerun):
+    """Checked-tensor entries of the arrays of a token or weights dataclass,
+    by field, skipping absent ones; ``rerun(**fields)`` turns the fields,
+    one of them a perturbed stack, into losses."""
+    def losses(field):
+        return lambda stack: rerun(**{**vars(fields), field: stack})
+
+    for field, arr in vars(fields).items():
+        if arr is not None:
+            yield f"{prefix}{field}", (arr, grads[field], losses(field))
 
 
 def _mha_like_case(q_name: str, kv_name: str):
@@ -490,25 +505,16 @@ def _mha_like_case(q_name: str, kv_name: str):
         w: AttentionWeights = weights
         # The operator reads the tokens only; a class token or positions
         # that a bundle carries do not reach the output.
-        params = {f"{q_name}.tokens": q.tokens, f"{kv_name}.tokens": kv.tokens,
-                  **_named_attention_arrays("", w)}
-
         out, base = _attend_forward(q.tokens, kv.tokens, w)
         y = q.tokens + out
         d_q, d_kv, gw = _attend_backward(y, base, w)
-        grads = {f"{q_name}.tokens": d_q + y, f"{kv_name}.tokens": d_kv, **_named_attention_arrays("", gw)}
-
-        def losses(name: str, stack: np.ndarray) -> np.ndarray:
-            if name == f"{q_name}.tokens":
-                out, _ = _attend_forward(stack, kv.tokens, w)
-                return _loss([stack + out])
-            if name == f"{kv_name}.tokens":
-                out, _ = _attend_forward(q.tokens, stack, w)
-            else:
-                out = _attend_after_change(q.tokens, kv.tokens, w, base, name, stack)
-            return _loss([q.tokens + out])
-
-        return params, losses, float(_loss([y])), grads
+        finish = lambda out: _loss([q.tokens + out])
+        return dict([
+            (f"{q_name}.tokens", (q.tokens, d_q + y,
+                                  lambda stack: _loss([stack + _attend_forward(stack, kv.tokens, w)[0]]))),
+            (f"{kv_name}.tokens", (kv.tokens, d_kv, lambda stack: finish(_attend_forward(q.tokens, stack, w)[0]))),
+            *_attention_entries("", w, base, gw, finish),
+        ])
 
     return build
 
@@ -516,12 +522,6 @@ def _mha_like_case(q_name: str, kv_name: str):
 def _dual_case(inputs, weights):
     image, video = inputs
     w_image, w_video, mlp = weights
-    params = {**_named_fields("image.", image),
-              **_named_fields("video.", video),
-              **_named_attention_arrays("image_branch.", w_image),
-              **_named_attention_arrays("video_branch.", w_video),
-              **_named_fields("mlp.image.", mlp.image),
-              **_named_fields("mlp.video.", mlp.video)}
 
     # Stages of the unperturbed pass.  A weight tensor only feeds its own
     # branch, so perturbing it recomputes that branch from here on and
@@ -529,8 +529,6 @@ def _dual_case(inputs, weights):
     # full pass, so the losses come out bit for bit the same.
     x_i, x_v = _residual_streams(image, video)
     y_i0, y_v0, base = _dual_forward(x_i, x_v, w_image, w_video, mlp)
-    n_i, n_v = base["att_i"]["q_src"], base["att_v"]["q_src"]
-    h_i, h_v = base["mlp_i"]["x"], base["mlp_v"]["x"]
 
     # the analytic gradients come from the same pass's caches
     d_h_i, g_mlp_i = _mlp_backward(y_i0, base["mlp_i"], mlp.image)
@@ -539,51 +537,33 @@ def _dual_case(inputs, weights):
     d_n_v_b, d_n_i_b, g_video = _attend_backward(d_h_v, base["att_v"], w_video)
     d_x_i = d_h_i + _ln_backward(d_n_i_a + d_n_i_b, base["ln_i"])
     d_x_v = d_h_v + _ln_backward(d_n_v_a + d_n_v_b, base["ln_v"])
-    grads = {"image.tokens": d_x_i[:-1], "image.class_token": d_x_i[-1],
-             "video.tokens": d_x_v[:-1], "video.class_token": d_x_v[-1],
-             **_named_attention_arrays("image_branch.", g_image),
-             **_named_attention_arrays("video_branch.", g_video),
-             **_named_fields("mlp.image.", g_mlp_i),
-             **_named_fields("mlp.video.", g_mlp_v)}
-    if image.positional is not None:
-        grads["image.positional"] = d_x_i
-    if video.positional is not None:
-        grads["video.positional"] = d_x_v
+    token_grads = lambda d_x: {"tokens": d_x[:-1], "class_token": d_x[-1], "positional": d_x}
 
-    def losses(name: str, stack: np.ndarray) -> np.ndarray:
-        group, _, field = name.partition(".")
-        if group == "mlp":
-            side, _, field = field.partition(".")
-            if side == "image":
-                y_i, _ = _mlp_forward(h_i, **{**vars(mlp.image), field: stack})
-                return _loss([y_i, y_v0])
-            y_v, _ = _mlp_forward(h_v, **{**vars(mlp.video), field: stack})
-            return _loss([y_i0, y_v])
-        if group == "image_branch":
-            att_i = _attend_after_change(n_i, n_v, w_image, base["att_i"], field, stack)
-            y_i, _ = _mlp_forward(x_i + att_i, **vars(mlp.image))
-            return _loss([y_i, y_v0])
-        if group == "video_branch":
-            att_v = _attend_after_change(n_v, n_i, w_video, base["att_v"], field, stack)
-            y_v, _ = _mlp_forward(x_v + att_v, **vars(mlp.video))
-            return _loss([y_i0, y_v])
-        if group == "image":
-            y_i, y_v, _ = _dual_forward(_stack_with_class(**{**vars(image), field: stack}, side="image"),
-                                        x_v, w_image, w_video, mlp)
-        else:
-            y_i, y_v, _ = _dual_forward(x_i, _stack_with_class(**{**vars(video), field: stack}, side="video"),
-                                        w_image, w_video, mlp)
-        return _loss([y_i, y_v])
-
-    return params, losses, float(_loss([y_i0, y_v0])), grads
+    # a perturbed token, class token or position runs both branches
+    rerun_i = lambda **f: _loss(_dual_forward(_stack_with_class(**f, side="image"), x_v, w_image, w_video, mlp)[:2])
+    rerun_v = lambda **f: _loss(_dual_forward(x_i, _stack_with_class(**f, side="video"), w_image, w_video, mlp)[:2])
+    finish_i = lambda y_i: _loss([y_i, y_v0])
+    finish_v = lambda y_v: _loss([y_i0, y_v])
+    return dict([
+        *_field_entries("image.", image, token_grads(d_x_i), rerun_i),
+        *_field_entries("video.", video, token_grads(d_x_v), rerun_v),
+        *_attention_entries("image_branch.", w_image, base["att_i"], g_image,
+                            lambda att: finish_i(_mlp_forward(x_i + att, **vars(mlp.image))[0])),
+        *_attention_entries("video_branch.", w_video, base["att_v"], g_video,
+                            lambda att: finish_v(_mlp_forward(x_v + att, **vars(mlp.video))[0])),
+        *_field_entries("mlp.image.", mlp.image, vars(g_mlp_i),
+                        lambda **f: finish_i(_mlp_forward(base["mlp_i"]["x"], **f)[0])),
+        *_field_entries("mlp.video.", mlp.video, vars(g_mlp_v),
+                        lambda **f: finish_v(_mlp_forward(base["mlp_v"]["x"], **f)[0])),
+    ])
 
 
 GRAD_CHECK_OPS = ("mha", "frame_guided_pooling", "dual_attention")
 
-# op -> build(inputs, weights), which returns (params, losses, loss, grads):
-# the tensors to perturb by name, the loss of each slice of a perturbed
-# stack of one of them, and the loss and analytic gradients of the one
-# unperturbed pass.
+# op -> build(inputs, weights), which returns the checked tensors as one
+# ordered table, name -> (tensor, analytic gradient, losses): the gradient
+# comes from one unperturbed pass, and losses(stack) is the loss of each
+# slice of a stack of perturbed copies of the tensor.
 _CASE_BUILDERS = {
     "mha": _mha_like_case("queries", "keys_values"),
     "frame_guided_pooling": _mha_like_case("last_frame", "video"),
@@ -604,7 +584,8 @@ def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckR
     entry is judged against its own tensor's gradient scale rather than
     against a near-zero value finite differences cannot resolve.  Returns
     the worst error, the number of scalars checked, and which tensor held
-    the worst one.
+    the worst one; a NaN error (say from a NaN input) is the worst, and the
+    report names the first tensor that had one.
 
     The 2n perturbed copies of an n-scalar tensor (+epsilon, then
     -epsilon, for each scalar in C order) form one stack, and only the
@@ -620,13 +601,12 @@ def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckR
     """
     if op_id not in _CASE_BUILDERS:
         raise ValueError(f"unknown grad-check op {op_id!r}; expected one of {GRAD_CHECK_OPS}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    params, losses, _, grads = _CASE_BUILDERS[op_id](inputs, weights)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     worst = ""
     max_rel = 0.0
     checked = 0
-    for name, arr in params.items():
+    for name, (arr, grad, losses) in _CASE_BUILDERS[op_id](inputs, weights).items():
         n = arr.size
         flat = arr.reshape(-1)
         perturbed = np.concatenate([flat + epsilon, flat - epsilon])
@@ -637,12 +617,13 @@ def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckR
             stack = buffer[:rows.size]
             stack[...] = flat
             stack[rows - start, rows % n] = perturbed[rows]
-            loss[rows] = losses(name, stack.reshape((rows.size,) + arr.shape))
+            loss[rows] = losses(stack.reshape((rows.size,) + arr.shape))
         numeric = (loss[:n] - loss[n:]) / (2.0 * epsilon)
-        analytic = np.asarray(grads[name], dtype=np.float64).reshape(-1)
+        analytic = np.asarray(grad, dtype=np.float64).reshape(-1)
         scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-8)
         rel = float(np.max(np.abs(analytic - numeric))) / scale
-        if rel > max_rel:
+        # a NaN error fails every tolerance, so the first one is the worst
+        if rel > max_rel or (math.isnan(rel) and not math.isnan(max_rel)):
             max_rel = rel
             worst = name
         checked += arr.size

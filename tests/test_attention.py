@@ -1,6 +1,7 @@
 """Attention operator tests: residual identities, straight-line oracles,
 the layer norm, and gradient checks."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -48,6 +49,15 @@ def test_attention_weights_validate_shapes():
                          w_o=np.zeros((6, 3)))
     with pytest.raises(ValueError, match="one matrix per head"):
         AttentionWeights(w_q=np.zeros((0, 3, 3)), w_k=[], w_v=[], w_o=np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="heads have width 0"):
+        AttentionWeights(w_q=np.zeros((2, 3, 0)), w_k=np.zeros((2, 3, 0)), w_v=np.zeros((2, 3, 0)),
+                         w_o=np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("heads, d_model", [(0, 8), (-1, 8), (9, 8), (16, 8), (1, 0)])
+def test_random_attention_weights_reject_heads_outside_one_to_d_model(heads, d_model):
+    with pytest.raises(ValueError, match=f"heads={heads}, d_model={d_model}"):
+        AttentionWeights.random(np.random.default_rng(0), d_model, heads)
 
 
 @pytest.mark.parametrize("as_stack", [False, True])
@@ -461,8 +471,32 @@ def test_grad_check_rejects_unknown_op_and_bad_eps():
     with pytest.raises(ValueError, match="unknown grad-check op"):
         att.grad_check("nope", (), ())
     inputs, weights = att.random_instance("mha", 0)
-    with pytest.raises(ValueError, match="epsilon"):
-        att.grad_check("mha", inputs, weights, epsilon=0.0)
+    for epsilon in (0.0, -1e-5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            att.grad_check("mha", inputs, weights, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_grad_check_reports_nan_for_a_nan_token(side):
+    inputs, weights = att.random_instance("mha", 3)
+    inputs[side].tokens[1, 2] = math.nan
+    report = att.grad_check("mha", inputs, weights)
+    assert math.isnan(report.max_rel_error)
+    assert not report.max_rel_error <= 1e-5
+    assert report.worst == "queries.tokens"  # the NaN reaches every loss, so the first tensor's error is NaN
+    assert report.params_checked == 312
+
+
+def test_grad_check_names_the_first_tensor_with_a_nan_error(monkeypatch):
+    # losses(stack) = sum(stack ** 2) / 2 per slice, whose gradient is the tensor itself
+    half_square = lambda stack: 0.5 * np.sum(stack * stack, axis=-1)
+    x = np.array([1.0, -2.0])
+    table = {"close": (x, 1.01 * x, half_square), "nan": (x, np.array([1.0, math.nan]), half_square),
+             "far": (x, 3.0 * x, half_square), "nan_again": (x, np.full(2, math.nan), half_square)}
+    monkeypatch.setitem(att._CASE_BUILDERS, "mha", lambda inputs, weights: table)
+    report = att.grad_check("mha", None, None)
+    assert math.isnan(report.max_rel_error)
+    assert (report.worst, report.params_checked) == ("nan", 8)
 
 
 def test_grad_check_linear_case_is_nearly_exact():
@@ -512,20 +546,47 @@ def test_grad_check_all_ops_single_seed(op):
 @pytest.mark.parametrize("op", att.GRAD_CHECK_OPS)
 def test_grad_check_partial_loss_equals_full_pass(op):
     # the stacked losses recompute only the stages a perturbed tensor feeds;
-    # each slice's loss must equal a full 2-D pass with the tensor set to it
+    # each slice's loss must equal the public 2-D operator's loss with the
+    # tensor set to that slice
     inputs, weights = att.random_instance(op, 5, d_model=6, heads=2,
                                           n_tokens=2, mlp_hidden=8)
-    params, losses, _, _ = att._CASE_BUILDERS[op](inputs, weights)
-    for name, arr in params.items():
+    for name, (arr, _, losses) in att._CASE_BUILDERS[op](inputs, weights).items():
         stack = np.repeat(arr[None], 2, axis=0)
         stack[0].flat[0] += 1e-3
         stack[1].flat[arr.size - 1] += 1e-3
-        got = losses(name, stack)
+        got = losses(stack)
         orig = arr.copy()
         for s in range(2):
-            arr[...] = stack[s]  # params alias the instance's arrays, so the case is rebuilt perturbed
-            assert got[s] == att._CASE_BUILDERS[op](inputs, weights)[2], (name, s)
+            arr[...] = stack[s]  # the table's tensors alias the instance's arrays
+            assert got[s] == full_pass_loss(op, inputs, weights), (name, s)
         arr[...] = orig
+
+
+# the checked tensors of random_instance(op, 0) (d_model 8, heads 2), in
+# table order; the order decides which tensor a tie reports as worst
+CHECKED_NAMES = {
+    "mha": ["queries.tokens", "keys_values.tokens", "w_q.h0", "w_k.h0", "w_v.h0",
+            "w_q.h1", "w_k.h1", "w_v.h1", "w_o"],
+    "frame_guided_pooling": ["last_frame.tokens", "video.tokens", "w_q.h0", "w_k.h0", "w_v.h0",
+                             "w_q.h1", "w_k.h1", "w_v.h1", "w_o"],
+    "dual_attention": ["image.tokens", "image.class_token", "image.positional",
+                       "video.tokens", "video.class_token", "video.positional",
+                       "image_branch.w_q.h0", "image_branch.w_k.h0", "image_branch.w_v.h0",
+                       "image_branch.w_q.h1", "image_branch.w_k.h1", "image_branch.w_v.h1", "image_branch.w_o",
+                       "video_branch.w_q.h0", "video_branch.w_k.h0", "video_branch.w_v.h0",
+                       "video_branch.w_q.h1", "video_branch.w_k.h1", "video_branch.w_v.h1", "video_branch.w_o",
+                       "mlp.image.w1", "mlp.image.b1", "mlp.image.w2", "mlp.image.b2",
+                       "mlp.video.w1", "mlp.video.b1", "mlp.video.w2", "mlp.video.b2"],
+}
+
+
+@pytest.mark.parametrize("op", att.GRAD_CHECK_OPS)
+def test_grad_check_table_order_and_gradient_shapes(op):
+    inputs, weights = att.random_instance(op, 0)
+    table = att._CASE_BUILDERS[op](inputs, weights)
+    assert list(table) == CHECKED_NAMES[op]
+    for name, (arr, grad, _) in table.items():
+        assert np.shape(grad) == arr.shape, name
 
 
 def full_pass_loss(op, inputs, weights) -> float:
@@ -538,7 +599,9 @@ def full_pass_loss(op, inputs, weights) -> float:
 
 
 def loop_report(op, inputs, weights, epsilon=1e-5):
-    params, _, _, grads = att._CASE_BUILDERS[op](inputs, weights)
+    table = att._CASE_BUILDERS[op](inputs, weights)
+    params = {name: arr for name, (arr, _, _) in table.items()}
+    grads = {name: grad for name, (_, grad, _) in table.items()}
     return loop_grad_check(params, lambda: full_pass_loss(op, inputs, weights), grads, epsilon)
 
 
@@ -571,7 +634,7 @@ def test_grad_check_memory_is_bounded_by_the_chunk():
     # the largest tensor is the (16, 64) MLP weight; unchunked, its 2048
     # perturbed copies alone would take 16 MiB
     inputs, weights = att.random_instance("dual_attention", 0, d_model=16)
-    largest = max(arr.size for arr in att._CASE_BUILDERS["dual_attention"](inputs, weights)[0].values())
+    largest = max(arr.size for arr, _, _ in att._CASE_BUILDERS["dual_attention"](inputs, weights).values())
     tracemalloc.start()
     try:
         att.grad_check("dual_attention", inputs, weights)

@@ -442,6 +442,19 @@ def test_attn_check_grad_cli(capsys):
     assert isinstance(result["worst"], str)
 
 
+@pytest.mark.parametrize("flags, message", [
+    ("--eps nan", "epsilon must be finite and positive, got nan"),
+    ("--eps inf", "epsilon must be finite and positive, got inf"),
+    ("--eps 0", "epsilon must be finite and positive, got 0.0"),
+    ("--heads 16", "heads must be between 1 and d_model; got heads=16, d_model=8"),
+    ("--heads 0", "heads must be between 1 and d_model; got heads=0, d_model=8"),
+])
+def test_attn_check_grad_rejects_a_bad_epsilon_or_head_count(flags, message, capsys):
+    code, out, err = run_cli(["attn", "check-grad", "--op", "mha", "--seed", "3", *flags.split()], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
 # what the per-scalar loop (helpers.loop_grad_check) reports, by op and
 # extra flags (the default is --d-model 8 --heads 2); the stacked
 # grad_check must print it byte for byte

@@ -708,6 +708,19 @@ def test_readers_reject_a_string_or_boolean_number(tmp_path, kind, at, field, ma
     assert (info.value.path, info.value.line, info.value.field) == (str(path), 1 if jsonl else None, field)
 
 
+def test_weights_file_with_zero_width_heads_is_a_located_error(tmp_path):
+    doc = weights_doc()
+    for name in ("w_q", "w_k", "w_v"):
+        for h in range(2):
+            doc[f"{name}.h{h}"] = {"rows": 4, "cols": 0, "data": []}
+    doc["w_o"] = {"rows": 0, "cols": 4, "data": []}
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fm.InputError, match="heads have width 0") as info:
+        read_weights_file(path)
+    assert info.value.path == str(path)
+
+
 def test_weights_file_names_the_nested_matrix_field(tmp_path):
     doc = weights_doc()
     doc["w_q.h0"]["data"] = doc["w_q.h0"]["data"][:-1]
