@@ -8,7 +8,8 @@ Modules:
   backward passes and finite-difference gradient checking.
 * ``affordance``: interaction-zone database, top-K retrieval, label
   priors and multiplicative fusion.
-* ``hotspot``: location probability maps and detection re-weighting.
+* ``hotspot``: location probability maps, the ``Detections`` table that
+  carries detections from reader to writer, and score re-weighting.
 * ``evaluation``: Top-5 mean average precision over noun, verb and
   time-to-contact criteria.
 * ``curation``: box plus action-segment annotations to anticipation

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hotspot import Detection
+from .hotspot import Detections
 
 __all__ = [
     "DEFAULT_K",
@@ -468,7 +468,7 @@ def fuse_distributions(prior: CategoricalDistribution,
     return CategoricalDistribution(size=prior.size, p=product / total)
 
 
-def _fused_rows(prior: CategoricalDistribution, vectors: list) -> np.ndarray | None:
+def _fused_rows(prior: CategoricalDistribution, vectors: Sequence) -> np.ndarray | None:
     """from_scores then fuse_distributions with prior on each vector, in one array pass.
 
     The vectors are stacked into one matrix, and each row is normalised,
@@ -495,30 +495,29 @@ def _fused_rows(prior: CategoricalDistribution, vectors: list) -> np.ndarray | N
 
 
 def apply_affordance_to_detections(detections, prior_nouns: CategoricalDistribution,
-                                   prior_verbs: CategoricalDistribution) -> list:
+                                   prior_verbs: CategoricalDistribution) -> Detections:
     """Fuse label priors into each detection's probability vectors.
 
     Each detection's vectors become fuse_distributions(prior,
     CategoricalDistribution.from_scores(vector)), computed for all
     detections at once.  Noun and verb ids must be indices into the
     respective vocabularies.  The reported labels become the argmax of the
-    fused vectors; boxes, times and scores pass through untouched.  If any
-    detection fails a check, the error of the earliest one is raised.
+    fused vectors; boxes, times and scores pass through untouched, as
+    columns shared with the input table.  If any detection fails a check,
+    the error of the earliest one is raised.
     """
-    detections = list(detections)
-    if not detections:
-        return []
-    nouns = _fused_rows(prior_nouns, [det.noun_probs for det in detections])
-    verbs = _fused_rows(prior_verbs, [det.verb_probs for det in detections])
+    dets = Detections.of(detections)
+    if not dets:
+        return dets
+    nouns = _fused_rows(prior_nouns, dets.noun_probs)
+    verbs = _fused_rows(prior_verbs, dets.verb_probs)
     if nouns is None or verbs is None:
         # the scalar checks, in the order a detection is fused, raise the earliest fault
-        for det in detections:
-            if det.noun_probs is None or det.verb_probs is None:
-                raise ValueError(f"detection {det.uid!r} is missing label probability vectors")
-            fuse_distributions(prior_nouns, CategoricalDistribution.from_scores(det.noun_probs))
-            fuse_distributions(prior_verbs, CategoricalDistribution.from_scores(det.verb_probs))
+        for uid, noun_probs, verb_probs in zip(dets.uids, dets.noun_probs, dets.verb_probs):
+            if noun_probs is None or verb_probs is None:
+                raise ValueError(f"detection {uid!r} is missing label probability vectors")
+            fuse_distributions(prior_nouns, CategoricalDistribution.from_scores(noun_probs))
+            fuse_distributions(prior_verbs, CategoricalDistribution.from_scores(verb_probs))
         raise AssertionError("the array pass rejected detections that pass every check")
-    return [Detection(uid=det.uid, box=det.box, noun=noun, verb=verb, ttc=det.ttc, score=det.score,
-                      noun_probs=noun_probs, verb_probs=verb_probs)
-            for det, noun, verb, noun_probs, verb_probs
-            in zip(detections, nouns.argmax(axis=1).tolist(), verbs.argmax(axis=1).tolist(), nouns, verbs)]
+    return dets.replace(nouns=nouns.argmax(axis=1).tolist(), verbs=verbs.argmax(axis=1).tolist(),
+                        noun_probs=list(nouns), verb_probs=list(verbs))

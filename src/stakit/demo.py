@@ -16,7 +16,7 @@ from .affordance import (DEFAULT_K, DEFAULT_RECENT, DEFAULT_THETA, DEFAULT_WEIGH
                          affordance_distribution, apply_affordance_to_detections, build_zones,
                          descriptor_similarity_01, knn_query, ClipRecord, ZoneIndex)
 from .evaluation import GroundTruth, evaluate, standard_criteria
-from .hotspot import Detection, reweight, synth_gaussian_map
+from .hotspot import Detection, Detections, reweight, synth_gaussian_map
 
 NOUNS = ["knife", "plate", "cup", "pan", "sponge", "kettle"]
 VERBS = ["take", "cut", "wash", "pour"]
@@ -132,27 +132,28 @@ def run_synth_demo(seed: int, out_dir, *, k: int = DEFAULT_K, weighted: bool = D
 
     k_eff = min(k, len(zones))  # tiny synthetic databases stay queryable
 
-    def fuse_stage(dets: list[Detection]) -> list[Detection]:
+    def fuse_stage(dets: Detections) -> Detections:
         refined = []
-        for uid in sorted({d.uid for d in dets}):
+        for uid in sorted(set(dets.uids)):
             knn = knn_query(queries[uid], zones, k_eff)
             prior_nouns = affordance_distribution(knn, zones, NOUNS, "noun", weighted)
             prior_verbs = affordance_distribution(knn, zones, VERBS, "verb", weighted)
-            refined.extend(apply_affordance_to_detections(
-                [d for d in dets if d.uid == uid], prior_nouns, prior_verbs))
-        return refined
+            rows = [i for i, other in enumerate(dets.uids) if other == uid]
+            refined.append(apply_affordance_to_detections(dets.take(rows), prior_nouns, prior_verbs))
+        return Detections.concat(refined)
 
+    raw = Detections.of(raw_dets)
     if order == "fuse-first":
-        final = reweight(fuse_stage(raw_dets), maps)
+        final = reweight(fuse_stage(raw), maps)
     else:
-        final = fuse_stage(reweight(raw_dets, maps))
+        final = fuse_stage(reweight(raw, maps))
 
     report = evaluate(final, all_gts, standard_criteria(), top_k=top_k)
 
     formats.write_clips(out / "clips.jsonl", clips)
     formats.write_zone_db(out / "zones.json", zones, NOUNS, VERBS, theta, DEFAULT_RECENT)
     formats.write_ground_truth(out / "gt.jsonl", all_gts)
-    formats.write_detections(out / "detections.jsonl", raw_dets)
+    formats.write_detections(out / "detections.jsonl", raw)
     formats.write_detections(out / "refined.jsonl", final)
     formats.write_hotspot_maps(out / "maps.jsonl", maps)
     formats.write_eval_report(out / "report.json", report)

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hotspot import Detections
+
 __all__ = [
     "GroundTruth",
     "MatchCriterion",
@@ -61,11 +63,14 @@ class MatchCriterion:
     require_ttc: bool = False
 
     def accepts(self, det, gt, ttc_tolerance: float) -> bool:
-        if self.require_verb and det.verb != gt.verb:
-            return False
-        if self.require_ttc and abs(det.ttc - gt.ttc) > ttc_tolerance:
-            return False
-        return True
+        return bool(self.holds(det.verb == gt.verb, abs(det.ttc - gt.ttc) <= ttc_tolerance))
+
+    def holds(self, verb_ok, ttc_ok):
+        """Whether a matched pair counts, given whether its verb and its time to contact agree.
+
+        Takes booleans or boolean arrays, elementwise.
+        """
+        return (verb_ok | (not self.require_verb)) & (ttc_ok | (not self.require_ttc))
 
 
 def standard_criteria() -> list[MatchCriterion]:
@@ -118,23 +123,24 @@ class EvalReport:
         }
 
 
-def assign_matches(dets_sorted: list, gts: list, iou_threshold: float) -> list:
+def assign_matches(boxes: list, gt_boxes: list, iou_threshold: float) -> list:
     """Greedy box assignment for one image and one noun class.
 
-    dets_sorted must already be in descending score order.  Each detection
-    takes the unassigned ground truth with the highest IoU at or above the
-    threshold (ties toward the earlier ground truth); returns one ground
-    truth index or None per detection.
+    boxes, the (x1, y1, x2, y2) boxes of the detections, must already be in
+    descending score order.  Each detection takes the unassigned ground
+    truth box with the highest IoU at or above the threshold (ties toward
+    the earlier ground truth); returns one ground truth index or None per
+    detection.
     """
-    taken = [False] * len(gts)
+    taken = [False] * len(gt_boxes)
     assigned = []
-    for det in dets_sorted:
+    for box in boxes:
         best_j = None
         best_iou = 0.0
-        for j, gt in enumerate(gts):
+        for j, gt_box in enumerate(gt_boxes):
             if taken[j]:
                 continue
-            overlap = iou(det.box, gt.box)
+            overlap = iou(box, gt_box)
             if overlap >= iou_threshold and (best_j is None or overlap > best_iou):
                 best_j, best_iou = j, overlap
         if best_j is not None:
@@ -181,7 +187,7 @@ def _average_precisions(classes: np.ndarray, flags: np.ndarray, npos: list) -> n
     return ap.reshape(n_criteria, n_classes)
 
 
-def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int = 5,
+def evaluate(dets, gts: list, criteria: list | None = None, *, top_k: int = 5,
              iou_threshold: float = 0.5, ttc_tolerance: float = 0.25) -> EvalReport:
     """Score detections against ground truth under every criterion.
 
@@ -207,6 +213,7 @@ def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int 
     if len(set(names)) != len(names):
         raise ValueError(f"criterion names must be unique, got {names}")
 
+    dets = Detections.of(dets)
     image_of: dict = {}  # image uid -> its position
     gts_by_key: dict = {}  # (image uid, class) -> its ground truths, in input order
     npos: dict = {}
@@ -214,40 +221,48 @@ def evaluate(dets: list, gts: list, criteria: list | None = None, *, top_k: int 
         image_of.setdefault(gt.uid, len(image_of))
         gts_by_key.setdefault((gt.uid, gt.noun), []).append(gt)
         npos[gt.noun] = npos.get(gt.noun, 0) + 1
-    for det in dets:
-        if det.uid not in image_of:
-            raise ValueError(f"detection references unknown image {det.uid!r}")
+    try:
+        image = np.fromiter(map(image_of.__getitem__, dets.uids), np.intp, len(dets))
+    except KeyError as exc:  # raised at the earliest unknown uid
+        raise ValueError(f"detection references unknown image {exc.args[0]!r}") from None
     classes = sorted(npos, key=str)
     position = {cls: k for k, cls in enumerate(classes)}
 
     # the top_k highest-scored detections of each image, ties toward input order
-    image = np.fromiter([image_of[det.uid] for det in dets], np.intp, len(dets))
-    scores = np.fromiter([det.score for det in dets], np.float64, len(dets))
+    scores = dets.scores
     ranked = np.lexsort((-scores, image))  # by image, then descending score; lexsort is stable
     counts = np.bincount(image, minlength=len(image_of))
     place = np.arange(len(dets)) - (np.cumsum(counts) - counts)[image[ranked]]  # rank within the image
-    kept = ranked[place < top_k].tolist()
+    kept = ranked[place < top_k]
 
     # one row per kept detection: its class (-1 if absent from the ground truth) and a flag per criterion
-    row_class = np.fromiter([position.get(dets[idx].noun, -1) for idx in kept], np.intp, len(kept))
-    row_flags = [(False,) * len(criteria)] * len(kept)
+    uids, nouns, verbs = dets.uids, dets.nouns, dets.verbs
+    row_class = np.fromiter([position.get(nouns[idx], -1) for idx in kept.tolist()], np.intp, len(kept))
     # the rows with a same-class ground truth in their image, grouped by both, in descending score order
     groups: dict = {}
-    for row, idx in enumerate(kept):
-        key = (dets[idx].uid, dets[idx].noun)
+    for row, idx in enumerate(kept.tolist()):
+        key = (uids[idx], nouns[idx])
         if key in gts_by_key:
             groups.setdefault(key, []).append(row)
+    boxes = dets.boxes[kept].tolist()
+    matched, matched_gts = [], []  # kept rows assigned a ground truth, and that ground truth
     for key, members in groups.items():
-        group = [dets[kept[row]] for row in members]
         gts_cls = gts_by_key[key]
-        for row, det, j in zip(members, group, assign_matches(group, gts_cls, iou_threshold)):
+        for row, j in zip(members, assign_matches([boxes[row] for row in members], [g.box for g in gts_cls],
+                                                  iou_threshold)):
             if j is not None:
-                row_flags[row] = tuple(crit.accepts(det, gts_cls[j], ttc_tolerance) for crit in criteria)
+                matched.append(row)
+                matched_gts.append(gts_cls[j])
+    at = kept[matched]
+    verb_ok = np.array([verbs[i] == g.verb for i, g in zip(at.tolist(), matched_gts)], dtype=bool)
+    ttc_ok = np.abs(dets.ttc[at] - np.array([g.ttc for g in matched_gts], dtype=np.float64)) <= ttc_tolerance
+    flags = np.zeros((len(kept), len(criteria)), dtype=bool)
+    for c, crit in enumerate(criteria):
+        flags[matched, c] = crit.holds(verb_ok, ttc_ok)
     rows = np.flatnonzero(row_class >= 0)
-    index = np.array(kept, dtype=np.intp)[rows]
+    index = kept[rows]
     order = rows[np.lexsort((index, -scores[index], row_class[rows]))]
-    flags = np.array(row_flags, dtype=bool).reshape(len(kept), len(criteria))[order]
-    ap = _average_precisions(row_class[order], flags, [npos[cls] for cls in classes])
+    ap = _average_precisions(row_class[order], flags[order], [npos[cls] for cls in classes])
     per_class = {name: dict(zip(classes, row)) for name, row in zip(names, ap.tolist())}
     # the mean adds the classes in order, left to right, as a loop would
     maps = dict(zip(names, (np.add.accumulate(ap, axis=1)[:, -1] / len(classes)).tolist()))

@@ -3,12 +3,15 @@
 Writers emit keys in a fixed order and floats through json's shortest
 round-trip repr, so writing, reading and writing again reproduces the
 file byte for byte.  Readers pass each field through one converter that
-names the field when it fails; the detection and ground-truth readers,
-which batch evaluation runs on every shard, read fields directly and use
-the converters only to rebuild a record that fails.  JSON-lines and CSV
-files go through one record loop that streams the file line by line as
-UTF-8, so memory holds one line plus the records built, and adds file
-and line to any failure.
+names the field when it fails.  JSON-lines and CSV files go through one
+record loop that streams the file line by line as UTF-8, so memory holds
+one line plus the records built, and adds file and line to any failure;
+each JSON line is decoded by json's C scanner directly, and by json.loads
+whenever that fails.  The detection reader, which batch evaluation runs on
+every shard, decodes every line first, checks each field as a whole
+column, and returns one Detections table; a file that fails a column
+check is read again record by record through the converters, which raise
+the located error of its earliest faulty record.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .affordance import CategoricalDistribution, ClipRecord, Zone, ZoneIndex
 from .attention import AttentionWeights, MlpWeights
 from .curation import ActionSegment, BoxAnnotation, STARecord
 from .evaluation import EvalReport, GroundTruth
-from .hotspot import Detection, HotspotMap
+from .hotspot import Detection, Detections, HotspotMap
 from .linalg import as_matrix
 
 __all__ = [
@@ -78,6 +81,8 @@ class InputError(ValueError):
 
 _BAD_VALUE = (TypeError, ValueError, OverflowError, RecursionError)  # what bad input makes parsing raise
 _NUMBER = frozenset({int, float})  # the types json gives a JSON number; not str, and not bool, a subclass of int
+_LABEL = frozenset({str, int})  # the types a label may have; not bool either
+_scan_once = json.JSONDecoder().scan_once  # the C scanner that json.loads runs, without its Python wrapper
 _REQUIRED = object()
 
 
@@ -148,7 +153,7 @@ def _float(value) -> float:
 
 
 def _label(value):
-    if type(value) is not str and type(value) is not int:
+    if type(value) not in _LABEL:
         raise TypeError(f"expected a string or integer label, got {reprlib.repr(value)}")
     return value
 
@@ -275,6 +280,22 @@ def distribution_from_json(obj: dict, *, path=None) -> CategoricalDistribution:
 # record files: JSON lines and CSV
 
 
+def _decode(line: str):
+    """json.loads(line): one JSON value, with nothing but JSON whitespace after it.
+
+    The scanner decodes the value from the first character on; a line it
+    cannot take whole, leading whitespace or a byte order mark included, goes
+    to json.loads, which decodes it or raises the error it always raises.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return json.loads(line)
+    if line[end:].strip(" \t\n\r"):
+        return json.loads(line)
+    return value
+
+
 def _records(path, build, columns: int | None = None):
     """Yield build(record) per record of a JSON-lines file or, given columns, a CSV file.
 
@@ -291,7 +312,7 @@ def _records(path, build, columns: int | None = None):
                 line = line + 1 if columns is None else rows.line_num
                 if columns is None:
                     if record.strip():
-                        yield build(json.loads(record))
+                        yield build(_decode(record))
                 elif "".join(record).strip():
                     if len(record) != columns:
                         raise ValueError(f"expected {columns} columns, got {len(record)}")
@@ -418,19 +439,12 @@ def read_descriptor(path, length: int | None = None) -> np.ndarray:
 # detections, ground truth, hotspot maps
 
 
-def _detection_dict(d: Detection) -> dict:
-    out = {
-        "uid": d.uid,
-        "box": [float(v) for v in d.box],
-        "noun": d.noun,
-        "verb": d.verb,
-        "ttc": float(d.ttc),
-        "score": float(d.score),
-    }
-    if d.noun_probs is not None:
-        out["noun_probs"] = _float_list(d.noun_probs)
-    if d.verb_probs is not None:
-        out["verb_probs"] = _float_list(d.verb_probs)
+def _detection_dict(uid, box: list, noun, verb, ttc: float, score: float, noun_probs, verb_probs) -> dict:
+    out = {"uid": uid, "box": box, "noun": noun, "verb": verb, "ttc": ttc, "score": score}
+    if noun_probs is not None:
+        out["noun_probs"] = _float_list(noun_probs)
+    if verb_probs is not None:
+        out["verb_probs"] = _float_list(verb_probs)
     return out
 
 
@@ -448,25 +462,49 @@ def _detection_fields(obj) -> Detection:
     )
 
 
-def _detection(obj) -> Detection:
-    """_detection_fields(obj) read directly; a record that fails is rebuilt by it, to locate the fault."""
+def _only(types: frozenset, values) -> None:
+    if not types.issuperset(map(type, values)):
+        raise TypeError(f"expected only values of the types {sorted(t.__name__ for t in types)}")
+
+
+def _detection_table(records: list) -> Detections:
+    """The records as one table, each field of _detection_fields checked over its whole column at once.
+
+    Raises a bare error on any record that _detection_fields rejects.
+    """
+    uids = [str(r["uid"]) for r in records]  # first, so that a record that is no JSON object fails here
+    boxes = [r["box"] for r in records]
+    _only(frozenset({list}), boxes)
+    _only(_NUMBER, itertools.chain.from_iterable(boxes))  # four of them each: the table takes (n, 4) only
+    nouns, verbs = [r["noun"] for r in records], [r["verb"] for r in records]
+    ttc, scores = [r["ttc"] for r in records], [r["score"] for r in records]
+    for column, types in ((nouns, _LABEL), (verbs, _LABEL), (ttc, _NUMBER), (scores, _NUMBER)):
+        _only(types, column)
+    probs = []
+    for key in ("noun_probs", "verb_probs"):
+        vectors = [r.get(key) for r in records]
+        probs.append(None if vectors.count(None) == len(vectors) else
+                     [None if v is None else _vector(v) for v in vectors])
+    return Detections(uids, boxes, nouns, verbs, ttc, scores, *probs)
+
+
+def read_detections(path) -> Detections:
+    """The detections of a JSON-lines file, as one table in file order."""
     try:
-        uid = str(obj["uid"])  # first, so that a line holding no JSON object fails here
-        noun_probs, verb_probs = obj.get("noun_probs"), obj.get("verb_probs")
-        return Detection(uid, _box(obj["box"]), _label(obj["noun"]), _label(obj["verb"]),
-                         _float(obj["ttc"]), _float(obj["score"]),
-                         None if noun_probs is None else _vector(noun_probs),
-                         None if verb_probs is None else _vector(verb_probs))
+        with open(path, encoding="utf-8", newline="") as fh:
+            return _detection_table([_decode(line) for line in fh if line.strip()])
     except (LookupError, *_BAD_VALUE):
-        return _detection_fields(obj)
+        for _ in _records(path, _detection_fields):
+            pass
+        raise AssertionError(f"{path}: the column checks rejected records that pass every field check") from None
 
 
-def read_detections(path) -> list[Detection]:
-    return list(_records(path, _detection))
-
-
-def write_detections(path, dets: list[Detection]) -> None:
-    _write_lines(path, (_detection_dict(d) for d in dets))
+def write_detections(path, dets) -> None:
+    """Write a Detections table, or Detection rows, one JSON line each."""
+    dets = Detections.of(dets)
+    _write_lines(path, itertools.starmap(_detection_dict, zip(
+        dets.uids, dets.boxes.tolist(), dets.nouns, dets.verbs, dets.ttc.tolist(), dets.scores.tolist(),
+        dets.noun_probs, dets.verb_probs)))
 
 
 def _ground_truth_fields(obj) -> GroundTruth:

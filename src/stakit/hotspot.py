@@ -1,16 +1,20 @@
-"""Interaction hotspot maps and detection score re-weighting.
+"""Interaction hotspot maps, the detections table, and score re-weighting.
 
 A hotspot map is a per-image probability grid over pixel locations.
-Re-weighting multiplies every detection's confidence by the hotspot
-probability sampled at its box centre; scores are deliberately left
-un-normalised afterwards so that absolute confidences stay comparable
-across images.
+Detections travel as one Detections table of columns, from the reader
+through re-weighting, fusion and evaluation to the writer; a Detection is
+one row of it.  Re-weighting multiplies every detection's confidence by
+the hotspot probability sampled at its box centre; scores are
+deliberately left un-normalised afterwards so that absolute confidences
+stay comparable across images.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +24,7 @@ from . import linalg
 __all__ = [
     "HotspotMap",
     "Detection",
-    "sample_at",
+    "Detections",
     "reweight",
     "upsample_map",
     "synth_gaussian_map",
@@ -94,6 +98,127 @@ class Detection:
         return (0.5 * (x1 + x2), 0.5 * (y1 + y2))
 
 
+def _frozen(values, shape: tuple) -> np.ndarray:
+    """values as a read-only float64 array of shape; an array that already is one is shared, not copied."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable):
+        values = np.array(values, dtype=np.float64)
+        values.flags.writeable = False
+    if values.size == 0:
+        values = values.reshape(shape)
+    if values.shape != shape:
+        raise ValueError(f"expected a column of shape {shape}, got {values.shape}")
+    return values
+
+
+# Detection's checks on each numeric column: the rows that pass them
+_PASSES = {
+    "boxes": lambda b: np.isfinite(b).all(axis=1) & (b[:, 0] < b[:, 2]) & (b[:, 1] < b[:, 3]),
+    "ttc": lambda ttc: (0 < ttc) & (ttc < math.inf),
+    "scores": lambda score: (0.0 <= score) & (score <= 1.0),
+}
+_ROW = operator.attrgetter(*(f.name for f in dataclasses.fields(Detection)))  # a row's fields, in column order
+
+
+class Detections:
+    """Detections as columns, one row per anticipated interaction, in input order.
+
+    uids, nouns and verbs are tuples; boxes is a read-only (n, 4) float64
+    array of (x1, y1, x2, y2) rows, and ttc and scores are read-only (n,)
+    float64 arrays.  noun_probs and verb_probs hold one vector or None per
+    row, of any lengths; None for the whole column means None in every row.
+    Construction converts each column, sharing one that already has its
+    final type, and checks every row as Detection does, raising the error
+    of the earliest row that fails.  A table is never changed in place:
+    replace makes a new one.  Indexing or iterating gives Detection rows.
+    """
+
+    __slots__ = ("uids", "boxes", "nouns", "verbs", "ttc", "scores", "noun_probs", "verb_probs")
+
+    def __init__(self, uids, boxes, nouns, verbs, ttc, scores, noun_probs=None, verb_probs=None):
+        self._fill(dict(zip(self.__slots__, (uids, boxes, nouns, verbs, ttc, scores, noun_probs, verb_probs))),
+                   len(uids))
+        self._check(_PASSES)
+
+    def _fill(self, columns: dict, n: int) -> None:
+        """Set the given columns of n rows, converted."""
+        for name, column in columns.items():
+            if name in _PASSES:
+                column = _frozen(column, (n, 4) if name == "boxes" else (n,))
+            elif column is None and name.endswith("_probs"):
+                column = (None,) * n
+            else:
+                column = tuple(column)
+            if len(column) != n:
+                raise ValueError(f"column {name!r} holds {len(column)} rows, expected {n}")
+            object.__setattr__(self, name, column)
+
+    def _check(self, names) -> None:
+        """Raise the error of the earliest row that fails Detection's checks on the numeric columns in names."""
+        passes = np.True_
+        for name, test in _PASSES.items():
+            if name in names:
+                passes = passes & test(getattr(self, name))
+        if not passes.all():
+            self[int(np.argmin(passes))]  # the earliest faulty row raises its own error
+            raise AssertionError("the array checks rejected a row that passes every check")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Detections table is not changed in place; replace({name}=...) makes a new one")
+
+    def replace(self, **columns) -> "Detections":
+        """A table with the given columns swapped in, converted and checked; it shares every other column."""
+        new = object.__new__(Detections)
+        for name in self.__slots__:
+            object.__setattr__(new, name, getattr(self, name))
+        new._fill(columns, len(self))
+        new._check(columns)
+        return new
+
+    @classmethod
+    def of(cls, detections) -> "Detections":
+        """A table as it is, or the table of an iterable of Detection rows, each checked by its own checks."""
+        if isinstance(detections, cls):
+            return detections
+        rows = list(detections)
+        for row in rows:
+            row.__post_init__()  # a row may have changed since it was built; the earliest faulty one raises
+        table = object.__new__(cls)
+        columns = zip(*map(_ROW, rows)) if rows else [()] * len(cls.__slots__)
+        table._fill(dict(zip(cls.__slots__, columns)), len(rows))
+        return table
+
+    @classmethod
+    def concat(cls, tables) -> "Detections":
+        """The rows of every table, in order, as one table."""
+        tables = list(tables)
+        if not tables:
+            return cls.of(())
+        joined = lambda name: list(itertools.chain.from_iterable(getattr(t, name) for t in tables))
+        return cls(joined("uids"), np.concatenate([t.boxes for t in tables]), joined("nouns"), joined("verbs"),
+                   np.concatenate([t.ttc for t in tables]), np.concatenate([t.scores for t in tables]),
+                   joined("noun_probs"), joined("verb_probs"))
+
+    def take(self, index) -> "Detections":
+        """The rows at the positions in index, in its order."""
+        index = np.asarray(index, dtype=np.intp).reshape(-1)
+        pick = lambda column: [column[i] for i in index.tolist()]
+        return Detections(pick(self.uids), self.boxes[index], pick(self.nouns), pick(self.verbs),
+                          self.ttc[index], self.scores[index], pick(self.noun_probs), pick(self.verb_probs))
+
+    def __len__(self) -> int:
+        return len(self.uids)
+
+    def __getitem__(self, i) -> Detection:
+        i = operator.index(i)
+        return Detection(self.uids[i], tuple(self.boxes[i].tolist()), self.nouns[i], self.verbs[i],
+                         float(self.ttc[i]), float(self.scores[i]), self.noun_probs[i], self.verb_probs[i])
+
+    def __iter__(self):
+        for uid, box, *rest in zip(self.uids, self.boxes.tolist(), self.nouns, self.verbs, self.ttc.tolist(),
+                                   self.scores.tolist(), self.noun_probs, self.verb_probs):
+            yield Detection(uid, tuple(box), *rest)
+
+
 def _sample(cells: np.ndarray, layout: np.ndarray, points: np.ndarray, bilinear: bool) -> np.ndarray:
     """Probability at each image point points[i] = (x, y), in one array pass.
 
@@ -122,48 +247,34 @@ def _sample(cells: np.ndarray, layout: np.ndarray, points: np.ndarray, bilinear:
     return top * (1 - fy) + bot * fy
 
 
-def sample_at(hmap: HotspotMap, x: float, y: float, *, bilinear: bool = False) -> float:
-    """Probability at image point (x, y).
-
-    Default is a nearest-cell lookup: the value of the grid cell containing
-    the point, with out-of-range points, infinite ones too, clamped to the
-    border cells.  The bilinear variant interpolates between cell centres
-    instead.  A NaN coordinate raises ValueError.
-    """
-    layout = np.array([0, hmap.h, hmap.w])
-    return float(_sample(hmap.p.ravel(), layout, np.array([[x, y]], dtype=np.float64), bilinear)[0])
-
-
-def reweight(detections, maps: dict[str, HotspotMap], *, bilinear: bool = False) -> list:
+def reweight(detections, maps: dict[str, HotspotMap], *, bilinear: bool = False) -> Detections:
     """Multiply each detection's score by the hotspot value at its centre.
 
     Every detection uid must have a map, or the earliest detection without
-    one is named before any score is computed.  Input order is preserved
-    and the scores are not renormalised.  All detections are sampled in
-    one array pass, whatever the shapes of their maps.
+    one is named before any score is computed.  Returns a table that shares
+    every column with the input but the scores, which are not
+    renormalised.  All detections are sampled in one array pass, whatever
+    the shapes of their maps.
     """
-    detections = list(detections)
-    slot_of: dict = {}  # uid -> position of its map in used
-    used, slots = [], []
-    for det in detections:
-        slot = slot_of.get(det.uid)
-        if slot is None:
-            hmap = maps.get(det.uid)
-            if hmap is None:
-                raise ValueError(f"no hotspot map for image {det.uid!r}")
-            slot = slot_of[det.uid] = len(used)
-            used.append(hmap)
-        slots.append(slot)
-    if not detections:
-        return []
-    starts = itertools.accumulate((hmap.p.size for hmap in used), initial=0)
-    layout = np.array([(start, *hmap.p.shape) for start, hmap in zip(starts, used)])[slots]
-    centers = np.fromiter(itertools.chain.from_iterable([det.center for det in detections]), np.float64,
-                          2 * len(detections)).reshape(-1, 2)
-    values = _sample(np.concatenate([hmap.p.ravel() for hmap in used]), layout, centers, bilinear)
-    scores = np.fromiter([det.score for det in detections], np.float64, len(detections)) * values
-    return [Detection(det.uid, det.box, det.noun, det.verb, det.ttc, score, det.noun_probs, det.verb_probs)
-            for det, score in zip(detections, scores.tolist())]
+    dets = Detections.of(detections)
+    used = {}  # uid -> its map, in the order of the uids' first detections
+    for uid in dict.fromkeys(dets.uids):
+        used[uid] = maps.get(uid)
+        if used[uid] is None:
+            raise ValueError(f"no hotspot map for image {uid!r}")
+    if not dets:
+        return dets
+    if len(used) == 1:  # one image: its own grid, and one layout for every point
+        [hmap] = used.values()
+        cells, layout = hmap.p.ravel(), np.array([0, *hmap.p.shape])
+    else:
+        slot = {uid: k for k, uid in enumerate(used)}
+        starts = itertools.accumulate((hmap.p.size for hmap in used.values()), initial=0)
+        layout = np.array([(start, *hmap.p.shape) for start, hmap in zip(starts, used.values())])
+        layout = layout[np.fromiter(map(slot.__getitem__, dets.uids), np.intp, len(dets))]
+        cells = np.concatenate([hmap.p.ravel() for hmap in used.values()])
+    values = _sample(cells, layout, 0.5 * (dets.boxes[:, :2] + dets.boxes[:, 2:]), bilinear)
+    return dets.replace(scores=dets.scores * values)
 
 
 def upsample_map(hmap: HotspotMap, h: int, w: int) -> HotspotMap:

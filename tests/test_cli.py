@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main(argv)."""
 
+import hashlib
 import json
 import math
 import os
@@ -520,6 +521,51 @@ def test_demo_synth_is_identical_across_processes_with_other_hash_seeds(tmp_path
                                  PYTHONHASHSEED=hash_seed)
         runs.append((stdout, {name: (out_dir / name).read_bytes() for name in demo_artifacts(out_dir)}))
     assert "report.json" in runs[0][1] and runs[0] == runs[1]
+
+
+# sha256 of the bytes `stakit demo synth --seed 7` wrote and printed before detections became one
+# table; fusion changes no score and re-weighting no label, so both orders write the same bytes
+DEMO_SEED_7_SHA256 = {
+    "clips.jsonl": "c73d38c33c2e00b9fe143887973461f3c88633b337685823a8e36d6789e23c86",
+    "detections.jsonl": "73c2377988d42bc122b451f834def07e3dc67c46049115a8155d86169de4103d",
+    "gt.jsonl": "f52fc21304ca41af0ffa4fe26ef2faa3ea0352a6a7720f0512b3cee1dc2712de",
+    "maps.jsonl": "fdb89639c565d2f2fb749a5d285c711442dd63ad993eacef1dfc500398588d00",
+    "refined.jsonl": "f3975991aa443262a8252e0bfdd765e48e965faaecebbad3d886373157e8e7ad",
+    "report.json": "1bd81d7ffabecde253ae5dfdb47801340ac8a75b5aad6dc1faf87e27df0657cf",
+    "zones.json": "664886b6ee82c633443f1ad1d58a59874910b5df348d507876efccc14164d793",
+    "stdout": "1bd81d7ffabecde253ae5dfdb47801340ac8a75b5aad6dc1faf87e27df0657cf",
+}
+# (argv after the demo's directory is filled in, the output whose sha256 is pinned, that sha256)
+DEMO_SEED_7_COMMANDS = [
+    (["eval", "sta", "--dets", "{d}/refined.jsonl", "--gt", "{d}/gt.jsonl"], "stdout",
+     "1bd81d7ffabecde253ae5dfdb47801340ac8a75b5aad6dc1faf87e27df0657cf"),
+    (["eval", "sta", "--dets", "{d}/detections.jsonl", "--gt", "{d}/gt.jsonl"], "stdout",
+     "c41dbcff3507d1b2d02727b510205747a63bcd3fe7a54f8312a25ed369f5c108"),
+    (["hotspot", "reweight", "--dets", "{d}/detections.jsonl", "--maps", "{d}/maps.jsonl", "--out", "{out}"],
+     "out", "18a719c2f3f4eda2cca7391fc39132db192a7db2f7c455fe213e3d4ce0796851"),
+    (["hotspot", "reweight", "--bilinear", "--dets", "{d}/detections.jsonl", "--maps", "{d}/maps.jsonl",
+      "--out", "{out}"], "out", "e857e11c1289d929bfa3571790195ae458975073abc894dc7b9c8728066a1893"),
+    (["hotspot", "reweight", "--bilinear", "--dets", "{d}/refined.jsonl", "--maps", "{d}/maps.jsonl",
+      "--out", "{out}"], "out", "d25f4429913f31e05b2cdd6a8ac127e4798b3ef40480c01517d1614263407f07"),
+]
+
+
+def sha256(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+@pytest.mark.parametrize("order", demo.ORDERS)
+def test_demo_synth_and_the_commands_on_its_files_write_the_pinned_bytes(tmp_path, capsys, order):
+    out_dir = tmp_path / "demo"
+    code, out, err = run_cli(["demo", "synth", "--seed", "7", "--order", order, "--out", str(out_dir)], capsys)
+    assert code == 0, err
+    got = {name: sha256((out_dir / name).read_bytes()) for name in demo_artifacts(out_dir)}
+    assert {**got, "stdout": sha256(out)} == DEMO_SEED_7_SHA256
+    for argv, output, digest in DEMO_SEED_7_COMMANDS:
+        target = tmp_path / "out.jsonl"
+        code, out, err = run_cli([a.format(d=out_dir, out=target) for a in argv], capsys)
+        assert code == 0, err
+        assert sha256(out if output == "stdout" else target.read_bytes()) == digest, argv
 
 
 def test_demo_synth_reweight_first_order(tmp_path, capsys):

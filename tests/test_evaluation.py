@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stakit import evaluation as ev
 from stakit.evaluation import GroundTruth, MatchCriterion
-from stakit.hotspot import Detection
+from stakit.hotspot import Detection, Detections
 
 from helpers import loop_evaluate
 
@@ -110,6 +110,17 @@ def test_criterion_ttc_boundary_is_inclusive():
     assert c.accepts(d, g, 0.25)
     d_late = det("u", (0, 0, 1, 1), 0, "take", 1.2500001, 0.5)
     assert not c.accepts(d_late, g, 0.25)
+
+
+def test_criterion_holds_elementwise_as_accepts_does_pair_by_pair():
+    verb_ok, ttc_ok = np.array([True, True, False, False]), np.array([True, False, True, False])
+    for crit in ev.standard_criteria():
+        want = [crit.holds(bool(v), bool(t)) for v, t in zip(verb_ok, ttc_ok)]
+        assert crit.holds(verb_ok, ttc_ok).tolist() == want
+        g = gt("u", (0, 0, 1, 1), 0, "take", 1.0)
+        assert [crit.accepts(det("u", (0, 0, 1, 1), 0, "take" if v else "cut", 1.0 if t else 2.0, 0.5), g, 0.25)
+                for v, t in zip(verb_ok, ttc_ok)] == want
+    assert [crit.holds(True, False) for crit in ev.standard_criteria()] == [True, True, False, False]
 
 
 def test_criterion_validation():
@@ -238,26 +249,26 @@ def test_ground_truth_and_detection_reject_non_finite_box(box):
 def test_assign_matches_ties_toward_earlier_gt():
     gts = [gt("u", (0, 0, 10, 10), 0, "take", 1.0), gt("u", (0, 0, 10, 10), 0, "take", 1.0)]
     d = det("u", (0, 0, 10, 10), 0, "take", 1.0, 0.9)
-    assert ev.assign_matches([d], gts, 0.5) == [0]
+    assert ev.assign_matches([d.box], [g.box for g in gts], 0.5) == [0]
 
 
 def test_assign_matches_prefers_higher_iou():
     gts = [gt("u", (0, 0, 10, 10), 0, "take", 1.0), gt("u", (2, 0, 12, 10), 0, "take", 1.0)]
     d = det("u", (2, 0, 12, 10), 0, "take", 1.0, 0.9)
-    assert ev.assign_matches([d], gts, 0.5) == [1]
+    assert ev.assign_matches([d.box], [g.box for g in gts], 0.5) == [1]
 
 
 def test_assign_matches_consumes_ground_truth_in_score_order():
     g0 = gt("u", (0, 0, 10, 10), 0, "take", 1.0)
     best = det("u", (0, 0, 10, 10), 0, "take", 1.0, 0.9)
     second = det("u", (1, 0, 11, 10), 0, "take", 1.0, 0.5)
-    assert ev.assign_matches([best, second], [g0], 0.5) == [0, None]
+    assert ev.assign_matches([best.box, second.box], [g0.box], 0.5) == [0, None]
 
 
 def test_assign_matches_respects_threshold():
     g0 = gt("u", (0, 0, 10, 10), 0, "take", 1.0)
     weak = det("u", (8, 8, 18, 18), 0, "take", 1.0, 0.9)
-    assert ev.assign_matches([weak], [g0], 0.5) == [None]
+    assert ev.assign_matches([weak.box], [g0.box], 0.5) == [None]
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +343,14 @@ def bits(table):
 
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), n_images=st.integers(1, 5), quantize=st.booleans(),
-       top_k=st.sampled_from([1, 5]), thresholds=st.sampled_from([(0.5, 0.25), (0.3, 0.1)]))
-def test_evaluate_equals_the_per_class_loop_oracle_bit_for_bit(seed, n_images, quantize, top_k, thresholds):
+       top_k=st.sampled_from([1, 5]), thresholds=st.sampled_from([(0.5, 0.25), (0.3, 0.1)]),
+       as_table=st.booleans())
+def test_evaluate_equals_the_per_class_loop_oracle_bit_for_bit(seed, n_images, quantize, top_k, thresholds,
+                                                               as_table):
     dets, gts = edge_case_instance(np.random.default_rng(seed), n_images, quantize)
     criteria = ev.standard_criteria()
-    report = ev.evaluate(dets, gts, criteria, top_k=top_k, iou_threshold=thresholds[0],
+    report = ev.evaluate(Detections.of(dets) if as_table else dets, gts, criteria, top_k=top_k,
+                         iou_threshold=thresholds[0],
                          ttc_tolerance=thresholds[1])
     det_t, gt_t = as_tuples(dets, gts)
     per_class, maps = loop_evaluate(det_t, gt_t, criteria_tuples(criteria, *thresholds), top_k=top_k)

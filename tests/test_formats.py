@@ -729,3 +729,159 @@ def test_weights_file_names_the_nested_matrix_field(tmp_path):
     with pytest.raises(fm.InputError, match="expected 8 entries, got 7") as info:
         read_weights_file(path)
     assert (info.value.path, info.value.field) == (str(path), "w_q.h0.data")
+
+
+# ---------------------------------------------------------------------------
+# JSON lines through the scan_once decoder: the value json.loads returns, or the error it raises
+
+
+def decoded(decode, line):
+    """repr of decode(line), or the text of the error it raises as located at line 3 of f.jsonl."""
+    try:
+        return repr(decode(line))
+    except fm._BAD_VALUE as exc:
+        return str(fm._located(exc, path="f.jsonl", line=3))
+
+
+# (line text, what both decoders give: the value's repr or the located error)
+DECODER_LINES = {
+    "trailing-garbage": ('{"a": 1} x\n', "f.jsonl, line 3: invalid JSON: Extra data"),
+    "two-objects": ('{"a": 1}{"b": 2}\n', "f.jsonl, line 3: invalid JSON: Extra data"),
+    "two-objects-spaced": ('{"a": 1} {"b": 2}', "f.jsonl, line 3: invalid JSON: Extra data"),
+    "byte-order-mark": ('\ufeff{"a": 1}\n',
+                        "f.jsonl, line 3: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "nan-and-infinity": ('{"a": NaN, "b": [Infinity, -Infinity]}\n', "{'a': nan, 'b': [inf, -inf]}"),
+    "whitespace-only": (" \t \n", "f.jsonl, line 3: invalid JSON: Expecting value"),
+    "empty": ("", "f.jsonl, line 3: invalid JSON: Expecting value"),
+    "cr": ('{"a": 1}\r', "{'a': 1}"),
+    "crlf": ('{"a": 1}\r\n', "{'a': 1}"),
+    "leading-whitespace": (' \t{"a": [1.5]}\n', "{'a': [1.5]}"),
+    "form-feed-after": ('{"a": 1}\x0c\n', "f.jsonl, line 3: invalid JSON: Extra data"),
+    "truncated": ('{"a": [1, 2\n', "f.jsonl, line 3: invalid JSON: Expecting ',' delimiter"),
+    "number-then-garbage": ("12abc", "f.jsonl, line 3: invalid JSON: Extra data"),
+}
+
+
+@pytest.mark.parametrize("line, want", DECODER_LINES.values(), ids=DECODER_LINES.keys())
+def test_decode_gives_what_json_loads_gives_on_edge_lines(line, want):
+    assert decoded(fm._decode, line) == decoded(json.loads, line) == want
+
+
+LINE_TEXTS = st.one_of(
+    st.text(max_size=30),
+    st.builds(lambda before, value, after: before + json.dumps(value) + after,
+              st.sampled_from(["", " ", "\t", "\ufeff", "x", "["]), JSON_VALUES,
+              st.one_of(st.text(" \t\r\n", max_size=3), st.text(max_size=6),
+                        st.sampled_from(["}", "]", " NaN", "{}", "\x0c\n", " ", "\r\n", "\r"]))),
+)
+
+
+@settings(max_examples=300)
+@given(line=LINE_TEXTS)
+def test_decode_returns_the_value_of_json_loads_or_raises_the_same_located_error(line):
+    assert decoded(fm._decode, line) == decoded(json.loads, line)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+def test_read_detections_skips_whitespace_lines_and_locates_a_byte_order_mark(tmp_path, newline):
+    path = tmp_path / "dets.jsonl"
+    lines = [GOOD_DETECTION, " \t ", GOOD_DETECTION.replace("1.0", "NaN") + " ", GOOD_DETECTION + "\t"]
+    path.write_bytes(newline.join(lines + [""]).encode())
+    with pytest.raises(fm.InputError) as info:  # NaN passes the decoder, not the ttc check
+        fm.read_detections(path)
+    assert str(info.value) == f"{path}, line 3: time to contact must be finite and positive, got nan"
+    lines[2] = GOOD_DETECTION
+    path.write_bytes(newline.join(lines + [""]).encode())
+    assert [d.ttc for d in fm.read_detections(path)] == [1.0, 1.0, 1.0]
+    lines[2] = "\ufeff" + GOOD_DETECTION
+    path.write_bytes(newline.join(lines + [""]).encode())
+    with pytest.raises(fm.InputError) as info:
+        fm.read_detections(path)
+    assert str(info.value) == f"{path}, line 3: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
+
+# ---------------------------------------------------------------------------
+# the detection reader's column checks: the located error of the per-record path
+
+
+# (line 3's fault, the field its error names, its message); line 5 fails on its score as well
+COLUMN_FAULTS = {
+    "box-x-order": ({"box": [2, 0, 1, 1]}, None,
+                    "box must be finite with x1 < x2 and y1 < y2, got (2.0, 0.0, 1.0, 1.0)"),
+    "box-y-order": ({"box": [0, 1, 1, 1]}, None,
+                    "box must be finite with x1 < x2 and y1 < y2, got (0.0, 1.0, 1.0, 1.0)"),
+    "box-infinite": ({"box": [0, 0, math.inf, 1]}, None,
+                     "box must be finite with x1 < x2 and y1 < y2, got (0.0, 0.0, inf, 1.0)"),
+    "box-nan": ({"box": [math.nan, 0, 1, 1]}, None,
+                "box must be finite with x1 < x2 and y1 < y2, got (nan, 0.0, 1.0, 1.0)"),
+    "ttc-zero": ({"ttc": 0}, None, "time to contact must be finite and positive, got 0.0"),
+    "ttc-negative": ({"ttc": -1.5}, None, "time to contact must be finite and positive, got -1.5"),
+    "ttc-infinite": ({"ttc": math.inf}, None, "time to contact must be finite and positive, got inf"),
+    "score-above-one": ({"score": 1.5}, None, "score must lie in [0, 1], got 1.5"),
+    "score-negative": ({"score": -0.25}, None, "score must lie in [0, 1], got -0.25"),
+    "score-nan": ({"score": math.nan}, None, "score must lie in [0, 1], got nan"),
+    "noun-bool": ({"noun": True}, "noun", "expected a string or integer label, got True"),
+    "verb-float": ({"verb": 1.5}, "verb", "expected a string or integer label, got 1.5"),
+    "noun-integral-float": ({"noun": 2.0}, "noun", "expected a string or integer label, got 2.0"),
+}
+
+
+@pytest.mark.parametrize("fault, field, message", COLUMN_FAULTS.values(), ids=COLUMN_FAULTS.keys())
+def test_column_checks_report_the_per_record_error_of_the_earliest_faulty_line(tmp_path, fault, field, message):
+    good = json.loads(GOOD_DETECTION)
+    path = tmp_path / "dets.jsonl"
+    rows = [good, good, {**good, **fault}, good, {**good, "score": 2.0}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(fm.InputError) as info:
+        fm.read_detections(path)
+    with pytest.raises(fm.InputError) as per_record:
+        list(fm._records(path, fm._detection_fields))
+    assert (info.value.line, info.value.field) == (per_record.value.line, per_record.value.field) == (3, field)
+    where = "line 3" if field is None else f"line 3, field {field!r}"
+    assert str(info.value) == str(per_record.value) == f"{path}, {where}: {message}"
+
+
+def test_detections_with_and_without_vectors_of_any_lengths_round_trip_byte_for_byte(tmp_path):
+    rows = [Detection("a", (0.0, 0.0, 1.0, 1.0), 1, 2, 1.0, 0.5, noun_probs=np.array([0.25, 0.75])),
+            Detection("a", (0.5, 0.0, 1.5, 1.0), "cup", 0, 0.75, 0.125),
+            Detection("b", (0.0, 0.5, 1.0, 2.0), 3, "take", 2.0, 1.0, np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.5])),
+            Detection("b", (1.0, 1.0, 2.0, 2.0), 0, 0, 0.5, 0.0, verb_probs=np.array([]))]
+    path_a, path_b = tmp_path / "dets.a.jsonl", tmp_path / "dets.b.jsonl"
+    fm.write_detections(path_a, rows)
+    table = fm.read_detections(path_a)
+    fm.write_detections(path_b, table)
+    assert path_a.read_bytes() == path_b.read_bytes()
+    vectors = lambda column: [None if v is None else v.tolist() for v in column]
+    assert vectors(table.noun_probs) == [[0.25, 0.75], None, [1.0, 0.0, 0.0], None]
+    assert vectors(table.verb_probs) == [None, None, [0.5, 0.5], []]
+
+
+def detection_rows(dets):
+    """Every field of every row, probability vectors as lists, as text that tells 1, 1.0 and True apart."""
+    return repr([(d.uid, d.box, d.noun, d.verb, d.ttc, d.score,
+                  *(None if v is None else v.tolist() for v in (d.noun_probs, d.verb_probs))) for d in dets])
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_read_detections_equals_the_per_record_reader(tmp_path, data):
+    valid = VALID_INPUTS["detections"][1]
+    docs = [json.loads(json.dumps(valid)) for _ in range(data.draw(st.integers(1, 5)))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        doc = data.draw(st.sampled_from(docs))
+        paths = sorted(field_paths(doc), key=str)
+        *parents, last = data.draw(st.sampled_from(paths + [("noun_probs",), ("verb_probs",)]))
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = data.draw(JSON_VALUES)
+    path = tmp_path / "dets.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    try:
+        want = detection_rows(fm._records(path, fm._detection_fields))
+    except fm.InputError as exc:
+        with pytest.raises(fm.InputError) as info:
+            fm.read_detections(path)
+        assert (str(info.value), info.value.line, info.value.field) == (str(exc), exc.line, exc.field)
+    else:
+        assert detection_rows(fm.read_detections(path)) == want

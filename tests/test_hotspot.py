@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stakit import hotspot as hs
-from stakit.hotspot import Detection, HotspotMap
+from stakit.hotspot import Detection, Detections, HotspotMap
 
 from helpers import loop_gaussian_map, loop_sample_at
 
@@ -48,45 +48,135 @@ def test_detection_rejects_non_finite_or_nonpositive_ttc(bad):
 
 
 # ---------------------------------------------------------------------------
+# the detections table
+
+
+def test_detections_table_rows_are_detections_with_float_boxes():
+    rows = [det(box=(0, 0, 2, 3), noun="cup", verb=1, ttc=0.5, score=0.75), det(uid="img1")]
+    table = Detections.of(iter(rows))
+    assert len(table) == 2 and list(table) == rows and table[-1] == rows[1]
+    assert type(table[0].box) is tuple and [type(v) for v in table[0].box] == [float] * 4
+    assert table.uids == ("img0", "img1") and table.boxes.shape == (2, 4)
+    assert Detections.of(table) is table
+    with pytest.raises(IndexError):
+        table[2]
+    with pytest.raises(TypeError):
+        table[0:1]
+
+
+def test_detections_table_is_read_only():
+    table = Detections.of([det()])
+    for column in (table.boxes, table.ttc, table.scores):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.25
+    with pytest.raises(AttributeError, match="replace"):
+        table.scores = np.array([0.25])
+
+
+def test_detections_table_copies_a_writable_column_and_shares_a_read_only_one():
+    scores = np.array([0.5])
+    table = Detections(["img0"], [(0.0, 0.0, 1.0, 1.0)], [0], [0], [1.0], scores)
+    scores[0] = 2.0
+    assert table.scores.tolist() == [0.5]
+    assert Detections(table.uids, table.boxes, table.nouns, table.verbs, table.ttc, table.scores).scores is table.scores
+
+
+# (column, faulty value) for each check Detection makes
+ROW_FAULTS = {
+    "box-x-order": ("boxes", (2.0, 0.0, 1.0, 1.0)), "box-y-order": ("boxes", (0.0, 1.0, 1.0, 1.0)),
+    "box-infinite": ("boxes", (0.0, 0.0, math.inf, 1.0)), "box-nan": ("boxes", (0.0, math.nan, 1.0, 1.0)),
+    "ttc-zero": ("ttc", 0.0), "ttc-infinite": ("ttc", math.inf), "ttc-nan": ("ttc", math.nan),
+    "score-negative": ("scores", -0.25), "score-above-one": ("scores", 1.5), "score-nan": ("scores", math.nan),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+def test_detections_table_raises_the_row_error_of_the_earliest_faulty_row(fault):
+    column, value = ROW_FAULTS[fault]
+    for position in range(4):
+        columns = {"uids": ["img0"] * 5, "boxes": [(0.0, 0.0, 1.0, 1.0)] * 5, "nouns": [0] * 5, "verbs": [0] * 5,
+                   "ttc": [1.0] * 5, "scores": [0.5] * 4 + [7.0]}  # row 4's score fails too
+        columns[column] = [value if i == position else v for i, v in enumerate(columns[column])]
+        with pytest.raises(ValueError) as want:
+            Detection(**{name: columns[plural][position] for name, plural in (
+                ("uid", "uids"), ("box", "boxes"), ("noun", "nouns"), ("verb", "verbs"), ("ttc", "ttc"),
+                ("score", "scores"))})
+        with pytest.raises(ValueError) as got:
+            Detections(**columns)
+        assert str(got.value) == str(want.value), (fault, position)
+        table = Detections(**{**columns, "ttc": [1.0] * 5, "scores": [0.5] * 5,
+                              "boxes": [(0.0, 0.0, 1.0, 1.0)] * 5})
+        with pytest.raises(ValueError) as got:  # replace checks the column it swaps in
+            table.replace(**{column: columns[column]})
+        assert str(got.value) == str(want.value), (fault, position)
+
+
+def test_detections_of_rows_checks_a_row_changed_after_it_was_built():
+    rows = [det(uid="img0"), det(uid="img0", box=(1.0, 1.0, 2.0, 2.0)), det(uid="img0")]
+    rows[1].score = 2.0
+    rows[2].box = (3.0, 0.0, 1.0, 1.0)
+    for call in (lambda: Detections.of(rows), lambda: hs.reweight(rows, {"img0": HotspotMap.uniform("img0", 2, 2)})):
+        with pytest.raises(ValueError, match=r"score must lie in \[0, 1\], got 2.0"):
+            call()
+
+
+def test_detections_table_rejects_columns_of_other_lengths():
+    with pytest.raises(ValueError, match="'nouns' holds 1 rows, expected 2"):
+        Detections(["a", "b"], [(0, 0, 1, 1)] * 2, [0], [0, 0], [1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
+        Detections(["a", "b"], [(0, 0, 1)] * 2, [0, 0], [0, 0], [1.0, 1.0], [0.5, 0.5])
+
+
+def test_take_and_concat_keep_the_rows_in_order():
+    table = Detections.of([det(uid=f"img{i}", score=i / 10, noun=i) for i in range(5)])
+    assert [d.uid for d in table.take([3, 1])] == ["img3", "img1"]
+    joined = Detections.concat([table.take([4]), table.take([]), table.take([0, 2])])
+    assert list(joined) == [table[4], table[0], table[2]]
+    assert len(Detections.concat([])) == 0 and len(table.take([])) == 0
+
+
+# ---------------------------------------------------------------------------
 # sampling
+
+
+def sample(hmap, points, bilinear=False):
+    """hotspot._sample at each (x, y) of points on the one map hmap, as floats."""
+    points = np.array(points, dtype=np.float64).reshape(-1, 2)
+    return hs._sample(hmap.p.ravel(), np.array([0, hmap.h, hmap.w]), points, bilinear).tolist()
 
 
 def test_sample_uniform_map_anywhere():
     m = HotspotMap.uniform("u", 4, 5)
-    for x, y in [(0.1, 0.1), (2.5, 3.5), (4.9, 3.9)]:
-        assert hs.sample_at(m, x, y) == 1.0 / 20.0
+    assert sample(m, [(0.1, 0.1), (2.5, 3.5), (4.9, 3.9)]) == [1.0 / 20.0] * 3
 
 
 def test_sample_one_hot_map():
     p = np.zeros((4, 5))
     p[2, 3] = 1.0
     m = HotspotMap("u", p)
-    assert hs.sample_at(m, 3.5, 2.5) == 1.0  # inside cell (row 2, col 3)
-    assert hs.sample_at(m, 0.5, 0.5) == 0.0
+    assert sample(m, [(3.5, 2.5), (0.5, 0.5)]) == [1.0, 0.0]  # inside cell (row 2, col 3), then outside it
 
 
 def test_sample_two_by_two_bottom_right():
     m = HotspotMap("u", np.array([[0.1, 0.2], [0.3, 0.4]]))
-    assert hs.sample_at(m, 1.5, 1.5) == 0.4
+    assert sample(m, [(1.5, 1.5)]) == [0.4]
 
 
 def test_sample_clamps_out_of_range_points():
     m = HotspotMap("u", np.array([[0.1, 0.2], [0.3, 0.4]]))
-    assert hs.sample_at(m, -5.0, -5.0) == 0.1
-    assert hs.sample_at(m, 99.0, 99.0) == 0.4
-    assert hs.sample_at(m, 99.0, -5.0) == 0.2
+    assert sample(m, [(-5.0, -5.0), (99.0, 99.0), (99.0, -5.0)]) == [0.1, 0.4, 0.2]
 
 
 def test_sample_bilinear_at_cell_centers_equals_cell_value():
     m = HotspotMap("u", np.array([[0.1, 0.2], [0.3, 0.4]]))
-    assert hs.sample_at(m, 0.5, 0.5, bilinear=True) == 0.1
-    assert hs.sample_at(m, 1.5, 1.5, bilinear=True) == 0.4
+    assert sample(m, [(0.5, 0.5), (1.5, 1.5)], bilinear=True) == [0.1, 0.4]
 
 
 def test_sample_bilinear_midpoint_averages_neighbours():
     m = HotspotMap("u", np.array([[0.1, 0.2], [0.3, 0.4]]))
-    assert abs(hs.sample_at(m, 1.0, 0.5, bilinear=True) - 0.15) < 1e-15
-    assert abs(hs.sample_at(m, 1.0, 1.0, bilinear=True) - 0.25) < 1e-15
+    edge, centre = sample(m, [(1.0, 0.5), (1.0, 1.0)], bilinear=True)
+    assert abs(edge - 0.15) < 1e-15
+    assert abs(centre - 0.25) < 1e-15
 
 
 def random_map(rng, uid, h, w):
@@ -106,9 +196,9 @@ COORDINATE = st.one_of(
 @settings(max_examples=400)
 @given(h=st.integers(1, 40), w=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        x=COORDINATE, y=COORDINATE, bilinear=st.booleans())
-def test_sample_at_equals_the_scalar_loop_bit_for_bit(h, w, seed, x, y, bilinear):
+def test_sample_equals_the_scalar_loop_bit_for_bit(h, w, seed, x, y, bilinear):
     m = random_map(np.random.default_rng(seed), "u", h, w)
-    got = hs.sample_at(m, x, y, bilinear=bilinear)
+    [got] = sample(m, [(x, y)], bilinear)
     assert type(got) is float
     assert got.hex() == loop_sample_at(m.p.tolist(), x, y, bilinear).hex()
 
@@ -116,10 +206,9 @@ def test_sample_at_equals_the_scalar_loop_bit_for_bit(h, w, seed, x, y, bilinear
 @pytest.mark.parametrize("bilinear", [False, True])
 def test_sample_clamps_infinite_points_and_rejects_nan(bilinear):
     m = HotspotMap("u", np.array([[0.1, 0.2], [0.3, 0.4]]))
-    assert hs.sample_at(m, math.inf, -math.inf, bilinear=bilinear) == 0.2
-    assert hs.sample_at(m, -math.inf, math.inf, bilinear=bilinear) == 0.3
+    assert sample(m, [(math.inf, -math.inf), (-math.inf, math.inf)], bilinear) == [0.2, 0.3]
     with pytest.raises(ValueError, match="NaN"):
-        hs.sample_at(m, math.nan, 0.5, bilinear=bilinear)
+        sample(m, [(math.nan, 0.5)], bilinear)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +235,8 @@ def test_reweight_equals_the_per_detection_loop_over_maps_of_mixed_shapes(seed, 
 
 
 def test_reweight_of_no_detections_is_empty():
-    assert hs.reweight([], {}) == []
-    assert hs.reweight(iter([]), {"img0": HotspotMap.uniform("img0", 2, 2)}, bilinear=True) == []
+    assert list(hs.reweight([], {})) == []
+    assert list(hs.reweight(iter([]), {"img0": HotspotMap.uniform("img0", 2, 2)}, bilinear=True)) == []
 
 
 def test_reweight_names_the_earliest_detection_without_a_map():
@@ -203,6 +292,17 @@ def test_reweight_preserves_order_and_skips_renormalisation():
 def test_reweight_missing_map_error():
     with pytest.raises(ValueError, match="no hotspot map for image 'img1'"):
         hs.reweight([det(uid="img1")], {"img0": HotspotMap.uniform("img0", 2, 2)})
+
+
+def test_reweight_returns_a_table_sharing_every_column_but_the_scores():
+    maps = {"img0": HotspotMap("img0", np.array([[0.25, 0.75]])), "img1": HotspotMap.uniform("img1", 2, 2)}
+    dets = Detections.of([det(uid="img0", box=(1.0, 0.0, 2.0, 1.0), score=0.5, noun="cup"),
+                          det(uid="img1", score=0.25)])
+    out = hs.reweight(dets, maps)
+    for name in ("uids", "boxes", "nouns", "verbs", "ttc", "noun_probs", "verb_probs"):
+        assert getattr(out, name) is getattr(dets, name), name
+    assert out.scores.tolist() == [0.375, 0.0625] and dets.scores.tolist() == [0.5, 0.25]
+    assert not out.scores.flags.writeable
 
 
 def test_reweight_leaves_other_fields_alone():
