@@ -138,9 +138,9 @@ def run_synth_demo(seed: int, out_dir, *, k: int = DEFAULT_K, weighted: bool = D
             knn = knn_query(queries[uid], zones, k_eff)
             prior_nouns = affordance_distribution(knn, zones, NOUNS, "noun", weighted)
             prior_verbs = affordance_distribution(knn, zones, VERBS, "verb", weighted)
-            rows = [i for i, other in enumerate(dets.uids) if other == uid]
-            refined.append(apply_affordance_to_detections(dets.take(rows), prior_nouns, prior_verbs))
-        return Detections.concat(refined)
+            rows = [d for d in dets if d.uid == uid]
+            refined.extend(apply_affordance_to_detections(rows, prior_nouns, prior_verbs))
+        return Detections.of(refined)
 
     raw = Detections.of(raw_dets)
     if order == "fuse-first":

@@ -62,9 +62,6 @@ class MatchCriterion:
     require_verb: bool = False
     require_ttc: bool = False
 
-    def accepts(self, det, gt, ttc_tolerance: float) -> bool:
-        return bool(self.holds(det.verb == gt.verb, abs(det.ttc - gt.ttc) <= ttc_tolerance))
-
     def holds(self, verb_ok, ttc_ok):
         """Whether a matched pair counts, given whether its verb and its time to contact agree.
 

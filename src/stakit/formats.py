@@ -507,7 +507,7 @@ def write_detections(path, dets) -> None:
         dets.noun_probs, dets.verb_probs)))
 
 
-def _ground_truth_fields(obj) -> GroundTruth:
+def _ground_truth(obj) -> GroundTruth:
     """A ground-truth record built field by field through the converters, so a failure names its field."""
     return GroundTruth(
         uid=str(_require(obj, "uid")),
@@ -516,15 +516,6 @@ def _ground_truth_fields(obj) -> GroundTruth:
         verb=_convert(obj, "verb", _label),
         ttc=_convert(obj, "ttc", _float),
     )
-
-
-def _ground_truth(obj) -> GroundTruth:
-    """_ground_truth_fields(obj) read directly; a record that fails is rebuilt by it, to locate the fault."""
-    try:
-        return GroundTruth(str(obj["uid"]), _box(obj["box"]), _label(obj["noun"]), _label(obj["verb"]),
-                           _float(obj["ttc"]))
-    except (LookupError, *_BAD_VALUE):
-        return _ground_truth_fields(obj)
 
 
 def read_ground_truth(path) -> list[GroundTruth]:

@@ -65,13 +65,14 @@ class HotspotMap:
         return cls(uid=uid, p=np.full((h, w), 1.0 / (h * w)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Detection:
     """One anticipated interaction: box, labels, time to contact, score.
 
     noun and verb are opaque ids except on the affordance-fusion path,
     where they must index the label vocabularies.  The optional
-    probability vectors feed that fusion.
+    probability vectors feed that fusion.  A row is frozen, so the checks
+    it passed when it was built still hold: assigning to a field raises.
     """
 
     uid: str
@@ -84,6 +85,7 @@ class Detection:
     verb_probs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "box", tuple(self.box))  # a list given as box could change after the check
         x1, y1, x2, y2 = self.box
         if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
             raise ValueError(f"box must be finite with x1 < x2 and y1 < y2, got {self.box}")
@@ -91,11 +93,6 @@ class Detection:
             raise ValueError(f"time to contact must be finite and positive, got {self.ttc}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
-
-    @property
-    def center(self) -> tuple[float, float]:
-        x1, y1, x2, y2 = self.box
-        return (0.5 * (x1 + x2), 0.5 * (y1 + y2))
 
 
 def _frozen(values, shape: tuple) -> np.ndarray:
@@ -176,34 +173,18 @@ class Detections:
 
     @classmethod
     def of(cls, detections) -> "Detections":
-        """A table as it is, or the table of an iterable of Detection rows, each checked by its own checks."""
+        """A table as it is, or the table of an iterable of Detection rows.
+
+        The rows are not checked again: each passed its checks when it was
+        built, and a frozen row cannot have changed since.
+        """
         if isinstance(detections, cls):
             return detections
         rows = list(detections)
-        for row in rows:
-            row.__post_init__()  # a row may have changed since it was built; the earliest faulty one raises
         table = object.__new__(cls)
         columns = zip(*map(_ROW, rows)) if rows else [()] * len(cls.__slots__)
         table._fill(dict(zip(cls.__slots__, columns)), len(rows))
         return table
-
-    @classmethod
-    def concat(cls, tables) -> "Detections":
-        """The rows of every table, in order, as one table."""
-        tables = list(tables)
-        if not tables:
-            return cls.of(())
-        joined = lambda name: list(itertools.chain.from_iterable(getattr(t, name) for t in tables))
-        return cls(joined("uids"), np.concatenate([t.boxes for t in tables]), joined("nouns"), joined("verbs"),
-                   np.concatenate([t.ttc for t in tables]), np.concatenate([t.scores for t in tables]),
-                   joined("noun_probs"), joined("verb_probs"))
-
-    def take(self, index) -> "Detections":
-        """The rows at the positions in index, in its order."""
-        index = np.asarray(index, dtype=np.intp).reshape(-1)
-        pick = lambda column: [column[i] for i in index.tolist()]
-        return Detections(pick(self.uids), self.boxes[index], pick(self.nouns), pick(self.verbs),
-                          self.ttc[index], self.scores[index], pick(self.noun_probs), pick(self.verb_probs))
 
     def __len__(self) -> int:
         return len(self.uids)

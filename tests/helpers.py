@@ -256,6 +256,13 @@ def loop_apply_affordance(detections, prior_nouns, prior_verbs, from_scores, fus
 # detection evaluation
 
 
+def accepts(criterion, det, gt, ttc_tolerance):
+    """Whether one matched pair counts under criterion: the pair-by-pair oracle for its holds."""
+    if criterion.require_verb and det.verb != gt.verb:
+        return False
+    return not (criterion.require_ttc and abs(det.ttc - gt.ttc) > ttc_tolerance)
+
+
 def loop_iou(a, b):
     ax1, ay1, ax2, ay2 = a
     bx1, by1, bx2, by2 = b

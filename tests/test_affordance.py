@@ -1,5 +1,6 @@
 """Zone construction, retrieval, and label-prior fusion tests."""
 
+import dataclasses
 import math
 import warnings
 
@@ -766,7 +767,8 @@ def test_apply_affordance_raises_the_loop_error_of_one_fault_at_any_position(fau
         rng = np.random.default_rng(position)
         dets = _random_dets(rng, 8, 4, 3)
         field = f"{channel}_probs"
-        setattr(dets[position], field, FUSION_FAULTS[fault](getattr(dets[position], field)))
+        faulty = FUSION_FAULTS[fault](getattr(dets[position], field))
+        dets[position] = dataclasses.replace(dets[position], **{field: faulty})
         want = _fault_error(lambda: _loop_fusion(dets, prior_nouns, prior_verbs))
         got = _fault_error(lambda: aff.apply_affordance_to_detections(dets, prior_nouns, prior_verbs))
         assert got == want, (fault, channel, position)
@@ -775,12 +777,12 @@ def test_apply_affordance_raises_the_loop_error_of_one_fault_at_any_position(fau
 def test_apply_affordance_raises_the_earliest_detection_error():
     prior_nouns, prior_verbs = CategoricalDistribution.uniform(4), CategoricalDistribution.uniform(3)
     dets = _random_dets(np.random.default_rng(5), 8, 4, 3)
-    dets[2].verb_probs = np.array([0.5, np.inf, 0.5])
-    dets[5].noun_probs = None
-    dets[6].noun_probs = np.ones(5)
+    dets[2] = dataclasses.replace(dets[2], verb_probs=np.array([0.5, np.inf, 0.5]))
+    dets[5] = dataclasses.replace(dets[5], noun_probs=None)
+    dets[6] = dataclasses.replace(dets[6], noun_probs=np.ones(5))
     with pytest.raises(ValueError, match="scores must be finite"):
         aff.apply_affordance_to_detections(dets, prior_nouns, prior_verbs)
-    dets[2].verb_probs = np.ones(3)
+    dets[2] = dataclasses.replace(dets[2], verb_probs=np.ones(3))
     with pytest.raises(ValueError, match="detection 'img5' is missing label probability"):
         aff.apply_affordance_to_detections(dets, prior_nouns, prior_verbs)
 

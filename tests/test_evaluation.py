@@ -9,7 +9,7 @@ from stakit import evaluation as ev
 from stakit.evaluation import GroundTruth, MatchCriterion
 from stakit.hotspot import Detection, Detections
 
-from helpers import loop_evaluate
+from helpers import accepts, loop_evaluate
 
 NAMES = ("noun", "noun_verb", "noun_ttc", "overall")
 
@@ -107,9 +107,10 @@ def test_criterion_ttc_boundary_is_inclusive():
     c = MatchCriterion("x", require_ttc=True)
     d = det("u", (0, 0, 1, 1), 0, "take", 1.25, 0.5)
     g = gt("u", (0, 0, 1, 1), 0, "take", 1.0)
-    assert c.accepts(d, g, 0.25)
+    assert accepts(c, d, g, 0.25)
     d_late = det("u", (0, 0, 1, 1), 0, "take", 1.2500001, 0.5)
-    assert not c.accepts(d_late, g, 0.25)
+    assert not accepts(c, d_late, g, 0.25)
+    assert [ev.evaluate([p], [g], [c]).maps["x"] for p in (d, d_late)] == [1.0, 0.0]
 
 
 def test_criterion_holds_elementwise_as_accepts_does_pair_by_pair():
@@ -118,7 +119,7 @@ def test_criterion_holds_elementwise_as_accepts_does_pair_by_pair():
         want = [crit.holds(bool(v), bool(t)) for v, t in zip(verb_ok, ttc_ok)]
         assert crit.holds(verb_ok, ttc_ok).tolist() == want
         g = gt("u", (0, 0, 1, 1), 0, "take", 1.0)
-        assert [crit.accepts(det("u", (0, 0, 1, 1), 0, "take" if v else "cut", 1.0 if t else 2.0, 0.5), g, 0.25)
+        assert [accepts(crit, det("u", (0, 0, 1, 1), 0, "take" if v else "cut", 1.0 if t else 2.0, 0.5), g, 0.25)
                 for v, t in zip(verb_ok, ttc_ok)] == want
     assert [crit.holds(True, False) for crit in ev.standard_criteria()] == [True, True, False, False]
 

@@ -1,5 +1,6 @@
 """Hotspot map sampling and score re-weighting tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -111,13 +112,32 @@ def test_detections_table_raises_the_row_error_of_the_earliest_faulty_row(fault)
         assert str(got.value) == str(want.value), (fault, position)
 
 
-def test_detections_of_rows_checks_a_row_changed_after_it_was_built():
-    rows = [det(uid="img0"), det(uid="img0", box=(1.0, 1.0, 2.0, 2.0)), det(uid="img0")]
-    rows[1].score = 2.0
-    rows[2].box = (3.0, 0.0, 1.0, 1.0)
-    for call in (lambda: Detections.of(rows), lambda: hs.reweight(rows, {"img0": HotspotMap.uniform("img0", 2, 2)})):
-        with pytest.raises(ValueError, match=r"score must lie in \[0, 1\], got 2.0"):
-            call()
+# a value for each Detection field that a row's checks or a table's columns would not hold
+FIELD_CHANGES = {"uid": "img9", "box": (3.0, 0.0, 1.0, 1.0), "noun": 7, "verb": 7, "ttc": -1.0, "score": 2.0,
+                 "noun_probs": np.ones(3), "verb_probs": np.ones(2)}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Detection)])
+def test_assigning_to_a_detection_field_raises_and_leaves_its_table_as_it_was(field):
+    corners = [2.0, 2.0, 6.0, 6.0]
+    built = det(uid="img0", box=corners)
+    corners[2] = -5.0  # the row holds its own copy of the corners it checked
+    table = Detections.of([built, det(uid="img1", box=(1.0, 1.0, 2.0, 2.0))])
+    rows = list(table)
+    for row in (built, table[0], rows[1]):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, field, FIELD_CHANGES[field])
+    assert list(table) == rows and rows[0] == built == det(uid="img0")
+
+
+def test_detections_of_rows_does_not_check_them_again(monkeypatch):
+    rows = [det(uid="img0"), det(uid="img1", score=0.25)]
+
+    def checked(row):
+        raise AssertionError("a frozen row was checked again")
+
+    monkeypatch.setattr(Detection, "__post_init__", checked)
+    assert Detections.of(rows).scores.tolist() == [0.5, 0.25]
 
 
 def test_detections_table_rejects_columns_of_other_lengths():
@@ -125,14 +145,6 @@ def test_detections_table_rejects_columns_of_other_lengths():
         Detections(["a", "b"], [(0, 0, 1, 1)] * 2, [0], [0, 0], [1.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
         Detections(["a", "b"], [(0, 0, 1)] * 2, [0, 0], [0, 0], [1.0, 1.0], [0.5, 0.5])
-
-
-def test_take_and_concat_keep_the_rows_in_order():
-    table = Detections.of([det(uid=f"img{i}", score=i / 10, noun=i) for i in range(5)])
-    assert [d.uid for d in table.take([3, 1])] == ["img3", "img1"]
-    joined = Detections.concat([table.take([4]), table.take([]), table.take([0, 2])])
-    assert list(joined) == [table[4], table[0], table[2]]
-    assert len(Detections.concat([])) == 0 and len(table.take([])) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +241,8 @@ def test_reweight_equals_the_per_detection_loop_over_maps_of_mixed_shapes(seed, 
                                                                     y + rng.uniform(0.1, 9.0)),
                         score=float(rng.random())))
     out = hs.reweight(dets, maps, bilinear=bilinear)
-    want = [d.score * loop_sample_at(maps[d.uid].p.tolist(), *d.center, bilinear) for d in dets]
+    centers = [(0.5 * (d.box[0] + d.box[2]), 0.5 * (d.box[1] + d.box[3])) for d in dets]
+    want = [d.score * loop_sample_at(maps[d.uid].p.tolist(), *c, bilinear) for d, c in zip(dets, centers)]
     assert [d.score.hex() for d in out] == [v.hex() for v in want]
     assert [d.uid for d in out] == [d.uid for d in dets]
 
