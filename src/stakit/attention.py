@@ -194,14 +194,12 @@ class TokenBundle:
 # shared attention core (no residual; callers add their own residual stream)
 
 
-def _attend_head(q_src: np.ndarray, kv_src: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
-                 w_v: np.ndarray, scale: float):
+def _head_products(q_src: np.ndarray, kv_src: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
+                   w_v: np.ndarray):
+    """One head's projections q, k, v and its unscaled scores q k^T."""
     q = linalg.matmul(q_src, w_q)
     k = linalg.matmul(kv_src, w_k)
-    v = linalg.matmul(kv_src, w_v)
-    scores = linalg.matmul(q, k.swapaxes(-1, -2)) * scale
-    probs = linalg.softmax_rows(scores)
-    return linalg.matmul(probs, v), (q, k, v, probs)
+    return q, k, linalg.matmul(kv_src, w_v), linalg.matmul(q, k.swapaxes(-1, -2))
 
 
 def _attend_forward(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights):
@@ -211,13 +209,17 @@ def _attend_forward(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights):
             f"weights expect d_model={w.d_model}"
         )
     scale = 1.0 / math.sqrt(w.d_head)
-    heads = []
-    outs = []
-    for h in range(w.heads):
-        out_h, head = _attend_head(q_src, kv_src, w.w_q[h], w.w_k[h], w.w_v[h], scale)
-        outs.append(out_h)
-        heads.append(head)
-    concat = np.concatenate(outs, axis=-1)
+    # The head products stay separate calls: bench/spans.py's matmul flop
+    # hook unpacks 2-D operand shapes only, so a product stacked over the
+    # heads would fail every traced operation until that hook takes batch
+    # axes.  The scores stack on a leading axis for one softmax, which
+    # leaves each probs[h] C-contiguous, with the bits of a per-head call.
+    products = [_head_products(q_src, kv_src, *mats) for mats in zip(w.w_q, w.w_k, w.w_v)]
+    scores = np.array([s for *_, s in products])
+    scores *= scale
+    probs = linalg.softmax_rows(scores)
+    heads = [(q, k, v, p) for (q, k, v, _), p in zip(products, probs)]
+    concat = np.concatenate([linalg.matmul(p, v) for _, _, v, p in heads], axis=-1)
     out = linalg.matmul(concat, w.w_o)
     cache = {"q_src": q_src, "kv_src": kv_src, "heads": heads, "concat": concat, "scale": scale}
     return out, cache
@@ -464,10 +466,12 @@ def _attend_after_change(w: AttentionWeights, base: dict, kind: str, h: int,
 
     A head's projections only enter that head's slice of the concatenated
     outputs, so the other heads' slices are reused; the arithmetic matches a
-    full pass bit for bit, slice by slice.
+    full pass bit for bit, slice by slice, since ``softmax_rows`` gives one
+    head's scores the bits of that head's slice of the full pass's stack.
     """
     mats = {"w_q": w.w_q[h], "w_k": w.w_k[h], "w_v": w.w_v[h], kind: value}
-    out_h, _ = _attend_head(base["q_src"], base["kv_src"], mats["w_q"], mats["w_k"], mats["w_v"], base["scale"])
+    _, _, v, scores = _head_products(base["q_src"], base["kv_src"], mats["w_q"], mats["w_k"], mats["w_v"])
+    out_h = linalg.matmul(linalg.softmax_rows(scores * base["scale"]), v)
     concat = np.broadcast_to(base["concat"], out_h.shape[:-1] + base["concat"].shape[-1:]).copy()
     concat[..., h * w.d_head:(h + 1) * w.d_head] = out_h
     return linalg.matmul(concat, w.w_o)

@@ -259,9 +259,16 @@ def reweight(detections, maps: dict[str, HotspotMap], *, bilinear: bool = False)
 
 
 def upsample_map(hmap: HotspotMap, h: int, w: int) -> HotspotMap:
-    """Bilinearly resize a map to (h, w) and renormalise to sum 1."""
+    """Bilinearly resize a map to (h, w) and renormalise to sum 1.
+
+    The total adds the cells column by column when the shape changes and
+    row by row when it does not, so the renormalised map has the bits of
+    dividing by the sum of a two-row-gather resize, whose result is laid
+    out column-major (``tests/helpers.py::gather_bilinear``).
+    """
     resized = linalg.bilinear_resize(hmap.p[:, :, None], h, w)[:, :, 0]
-    return HotspotMap(uid=hmap.uid, p=resized / resized.sum())
+    order = "C" if resized.shape == hmap.p.shape else "F"
+    return HotspotMap(uid=hmap.uid, p=resized / resized.ravel(order=order).sum())
 
 
 def synth_gaussian_map(uid: str, h: int, w: int,

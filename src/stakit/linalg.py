@@ -89,6 +89,13 @@ def bilinear_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     resizing to the same shape is an exact copy and corner values survive
     upsampling.  Outputs are convex combinations of inputs, hence bounded
     by the input min and max.
+
+    The x interpolation runs once on the h source rows, giving an
+    (h, out_w, c) grid; each output row then blends the two of its rows
+    that bracket its y coordinate, in place.  Every output element gets
+    the same products and sums in the same order as gathering two source
+    rows per output row and blending each along x, so the bits are those
+    of that formula.  The result is C-ordered.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 3:
@@ -110,6 +117,10 @@ def bilinear_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[None, :, None]
 
-    top = grid[y0][:, x0] * (1.0 - wx) + grid[y0][:, x1] * wx
-    bot = grid[y1][:, x0] * (1.0 - wx) + grid[y1][:, x1] * wx
-    return top * (1.0 - wy) + bot * wy
+    rows = np.take(grid, x0, axis=1) * (1.0 - wx) + np.take(grid, x1, axis=1) * wx
+    out = np.take(rows, y0, axis=0)
+    out *= 1.0 - wy
+    bot = np.take(rows, y1, axis=0)
+    bot *= wy
+    out += bot
+    return out

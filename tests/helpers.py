@@ -2,9 +2,11 @@
 
 Everything here is written with plain Python loops and ``math`` so that a
 bug in the package's vectorised code cannot hide in a shared helper.  The
-only allowed import from the package is nothing at all.  The exception is
-``loop_attend_backward``: it keeps the package's numpy kernels, passed in,
-so that its bits can be compared with the stacked pass it replaced.
+only allowed import from the package is nothing at all.  The exceptions
+are ``loop_attend_forward`` and ``loop_attend_backward``, which keep the
+package's numpy kernels, passed in, and ``gather_bilinear``, which keeps
+the numpy formula: each is the pass that a faster one replaced, kept so
+that the two can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -84,6 +86,27 @@ def loop_attention(q_rows, kv_rows, w_q, w_k, w_v, w_o):
     return loop_matmul(concat, w_o)
 
 
+def loop_attend_forward(q_src, kv_src, w, matmul, softmax_rows):
+    """The attention forward pass one head at a time, each with its own softmax.
+
+    q_src is a matrix or a stack of them, w the weights, and matmul and
+    softmax_rows the package's ``linalg`` kernels.  Returns the output
+    (before the residual), the concatenated head outputs and the per-head
+    (q, k, v, probs) tuples, as ``_attend_forward``'s cache holds them.
+    """
+    scale = 1.0 / math.sqrt(w.d_head)
+    outs, heads = [], []
+    for h in range(w.heads):
+        q = matmul(q_src, w.w_q[h])
+        k = matmul(kv_src, w.w_k[h])
+        v = matmul(kv_src, w.w_v[h])
+        probs = softmax_rows(matmul(q, k.swapaxes(-1, -2)) * scale)
+        outs.append(matmul(probs, v))
+        heads.append((q, k, v, probs))
+    concat = np.concatenate(outs, axis=-1)
+    return matmul(concat, w.w_o), concat, heads
+
+
 def loop_attend_backward(d_out, cache, w, matmul):
     """The attention backward pass one head at a time, accumulating into zeros.
 
@@ -155,6 +178,25 @@ def loop_bilinear(grid, out_h, out_w):
                 bot = grid[y1][x0][ch] * (1 - fx) + grid[y1][x1][ch] * fx
                 out[i][j][ch] = top * (1 - fy) + bot * fy
     return out
+
+
+def gather_bilinear(grid, out_h, out_w):
+    """The half-pixel-centre bilinear resize of an (h, w, c) array that gathers
+    two source rows per output row and blends along x within each of them."""
+    h, w, _ = grid.shape
+    if (out_h, out_w) == (h, w):
+        return grid.copy()
+    ys = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    top = grid[y0][:, x0] * (1.0 - wx) + grid[y0][:, x1] * wx
+    bot = grid[y1][:, x0] * (1.0 - wx) + grid[y1][:, x1] * wx
+    return top * (1.0 - wy) + bot * wy
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from stakit.attention import (
     TokenBundle,
 )
 
-from helpers import (loop_attend_backward, loop_attention, loop_dual, loop_gelu, loop_gelu_grad,
-                     loop_grad_check, loop_layer_norm)
+from helpers import (loop_attend_backward, loop_attend_forward, loop_attention, loop_dual, loop_gelu,
+                     loop_gelu_grad, loop_grad_check, loop_layer_norm)
 
 
 def weight_lists(w: AttentionWeights):
@@ -509,6 +509,53 @@ def test_grad_check_linear_case_is_nearly_exact():
     w = AttentionWeights.random(rng, 4, 1)
     report = att.grad_check("mha", (q, kv), w, epsilon=1e-2)
     assert report.max_rel_error <= 1e-9
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), heads=st.integers(1, 4), d_head=st.integers(1, 4),
+       d_model=st.integers(1, 6), n_q=st.integers(1, 5), n_kv=st.integers(1, 5),
+       stacked=st.sampled_from([None, "queries", "keys_values"]), copies=st.integers(1, 3))
+def test_attend_forward_equals_the_per_head_loop(seed, heads, d_head, d_model, n_q, n_kv, stacked, copies):
+    rng = np.random.default_rng(seed)
+    stacks = {name: rng.normal(size=(heads, d_model, d_head)) for name in ("w_q", "w_k", "w_v")}
+    w = AttentionWeights(**stacks, w_o=rng.normal(size=(heads * d_head, d_model)))
+    # grad_check passes (copies, n, d) stacks of perturbed sources on either side
+    q_src = rng.normal(size=((copies,) if stacked == "queries" else ()) + (n_q, d_model))
+    kv_src = rng.normal(size=((copies,) if stacked == "keys_values" else ()) + (n_kv, d_model))
+    out, cache = att._attend_forward(q_src, kv_src, w)
+    want_out, want_concat, want_heads = loop_attend_forward(q_src, kv_src, w, linalg.matmul,
+                                                            linalg.softmax_rows)
+    assert out.tobytes() == want_out.tobytes()
+    assert cache["concat"].tobytes() == want_concat.tobytes()
+    assert len(cache["heads"]) == heads
+    for got, want in zip(cache["heads"], want_heads):
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_with_maps_return_one_matrix_per_head_in_head_order(heads):
+    rng = np.random.default_rng(40 + heads)
+    d = 8
+    oracle = lambda q, kv, w: [probs for *_, probs in loop_attend_forward(q, kv, w, linalg.matmul,
+                                                                          linalg.softmax_rows)[2]]
+    w, w_video = AttentionWeights.random(rng, d, heads), AttentionWeights.random(rng, d, heads)
+    q, kv = TokenBundle(rng.normal(size=(3, d))), TokenBundle(rng.normal(size=(6, d)))
+    image, video = make_dual_inputs(rng, n=3, d=d)
+    mlp = DualMlpWeights(image=MlpWeights.random(rng, d), video=MlpWeights.random(rng, d))
+    n_i, n_v = (att._ln_forward(x)[0] for x in att._residual_streams(image, video))
+    _, _, dual_maps = att.dual_attention_with_maps(image, video, w, w_video, mlp)
+    cases = [
+        (att.mha_with_maps(q, kv, w)[1], oracle(q.tokens, kv.tokens, w)),
+        (att.frame_guided_pooling_with_maps(q, kv, w)[1], oracle(q.tokens, kv.tokens, w)),
+        (dual_maps["image_queries"], oracle(n_i, n_v, w)),
+        (dual_maps["video_queries"], oracle(n_v, n_i, w_video)),
+    ]
+    for maps, want in cases:
+        assert isinstance(maps, list) and len(maps) == heads
+        for m, expected in zip(maps, want):
+            assert m.ndim == 2 and m.shape == expected.shape
+            assert m.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200)

@@ -547,6 +547,9 @@ DEMO_SEED_7_COMMANDS = [
       "--out", "{out}"], "out", "e857e11c1289d929bfa3571790195ae458975073abc894dc7b9c8728066a1893"),
     (["hotspot", "reweight", "--bilinear", "--dets", "{d}/refined.jsonl", "--maps", "{d}/maps.jsonl",
       "--out", "{out}"], "out", "d25f4429913f31e05b2cdd6a8ac127e4798b3ef40480c01517d1614263407f07"),
+    (["hotspot", "reweight", "--bilinear", "--upsample-h", "96", "--upsample-w", "128", "--dets",
+      "{d}/detections.jsonl", "--maps", "{d}/maps.jsonl", "--out", "{out}"],
+     "out", "5a0ad2c1221cf882e51a5de0e9447527444c7af1ea2346cde48ad55c183f46ca"),
 ]
 
 

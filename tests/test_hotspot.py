@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stakit import hotspot as hs
 from stakit.hotspot import Detection, Detections, HotspotMap
 
-from helpers import loop_gaussian_map, loop_sample_at
+from helpers import gather_bilinear, loop_gaussian_map, loop_sample_at
 
 
 def det(uid="img0", box=(2.0, 2.0, 6.0, 6.0), score=0.5, noun=0, verb=0, ttc=1.0):
@@ -347,6 +347,20 @@ def test_upsample_same_size_is_identity():
     m = HotspotMap("u", np.array([[0.25, 0.25], [0.3, 0.2]]))
     up = hs.upsample_map(m, 2, 2)
     assert np.allclose(up.p, m.p, atol=1e-15)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 20), w=st.integers(1, 20),
+       out_h=st.integers(1, 140), out_w=st.integers(1, 140), fortran=st.booleans())
+@example(seed=0, h=64, w=64, out_h=96, out_w=128, fortran=False)  # the demo's maps
+@example(seed=1, h=12, w=16, out_h=96, out_w=128, fortran=False)  # an online map
+@example(seed=2, h=5, w=7, out_h=5, out_w=7, fortran=True)  # the same shape
+def test_upsample_map_has_the_bits_of_the_two_row_gather(seed, h, w, out_h, out_w, fortran):
+    p = np.random.default_rng(seed).random((h, w)) + 0.01
+    m = HotspotMap("u", np.asfortranarray(p / p.sum()) if fortran else p / p.sum())
+    resized = gather_bilinear(m.p[:, :, None], out_h, out_w)[:, :, 0]
+    want = resized / resized.sum()
+    assert hs.upsample_map(m, out_h, out_w).p.tobytes() == want.tobytes()
 
 
 def test_gaussian_map_empty_centers_is_uniform():

@@ -10,13 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stakit
 from stakit import linalg
 
-from helpers import loop_bilinear, loop_matmul, loop_softmax_row
+from helpers import gather_bilinear, loop_bilinear, loop_matmul, loop_softmax_row
 
 
 @st.composite
@@ -295,6 +295,23 @@ def test_bilinear_matches_loop_oracle():
         out = linalg.bilinear_resize(grid, int(oh), int(ow))
         expected = np.array(loop_bilinear(grid.tolist(), int(oh), int(ow)))
         assert np.allclose(out, expected, atol=1e-12, rtol=0)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 20), w=st.integers(1, 20), c=st.integers(1, 3),
+       out_h=st.integers(1, 140), out_w=st.integers(1, 140))
+@example(seed=0, h=12, w=16, c=1, out_h=96, out_w=128)  # an online hotspot map
+@example(seed=1, h=7, w=9, c=2, out_h=7, out_w=9)  # the same shape
+@example(seed=2, h=1, w=11, c=3, out_h=40, out_w=5)  # one source row
+@example(seed=3, h=13, w=1, c=1, out_h=2, out_w=70)  # one source column
+@example(seed=4, h=20, w=20, c=2, out_h=3, out_w=1)  # downsampling
+@example(seed=5, h=5, w=6, c=1, out_h=5, out_w=140)  # one axis kept
+def test_bilinear_has_the_bits_of_the_two_row_gather(seed, h, w, c, out_h, out_w):
+    grid = np.random.default_rng(seed).normal(size=(h, w, c))
+    out = linalg.bilinear_resize(grid, out_h, out_w)
+    want = gather_bilinear(grid, out_h, out_w)
+    assert out.shape == want.shape == (out_h, out_w, c)
+    assert out.tobytes() == want.tobytes()
 
 
 def test_bilinear_outputs_bounded_by_inputs():
