@@ -338,41 +338,36 @@ def build_zones(clips: list[ClipRecord], same_zone, theta: float = DEFAULT_THETA
     call time, so a wrapper put in its place counts too), one Gram product
     per video screens every pair, and only a clip too close to call on the
     screen (see _screened_choice) calls same_zone on its window members.
-    The zones, and the errors raised, are therefore those of calling
-    same_zone on every pair.  Any other oracle is called on every pair.
-    A video's n x n table is held from its first clip to its last.
+    The zones are therefore those of calling same_zone on every pair.  Any
+    other oracle is called on every pair.  Videos go one at a time, in
+    order of first appearance, so one n x n table is alive however the
+    input interleaves videos, and errors are raised video by video: the
+    first failing pair of the earliest video that fails.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     if recent < 1:
         raise ValueError(f"recent window must be at least 1, got {recent}")
-    videos: dict[str, list[ClipRecord]] = {}
-    slots = []  # each clip's position in its video
+    videos: dict[str, list[ClipRecord]] = {}  # each video's clips in input order
     for clip in clips:
-        members = videos.setdefault(clip.video_id, [])
-        slots.append(len(members))
-        members.append(clip)
+        videos.setdefault(clip.video_id, []).append(clip)
     screen = same_zone is descriptor_similarity_01
-    tables: dict[str, np.ndarray | None] = {}  # a video's screen, held from its first clip to its last
-    groups: dict[str, list[list[int]]] = {video: [] for video in videos}  # zones as positions in the video
-    for clip, i in zip(clips, slots):
-        video = clip.video_id
-        if i == 0 and screen:
-            tables[video] = _screened_table(videos[video])
-        table = tables.pop(video, None) if i == len(videos[video]) - 1 else tables.get(video)
-        per_video = groups[video]
-        windows = [members[-recent:] for members in per_video]
-        choice = None if table is None else _screened_choice(table[i, :i].tolist(), windows, theta)
-        if choice is None:
-            choice = _exact_choice(clip, [[videos[video][j] for j in w] for w in windows], same_zone, theta)
-        if choice >= 0:
-            per_video[choice].append(i)
-        else:
-            per_video.append([i])
     zones: list[Zone] = []
-    for video_id, per_video in groups.items():
-        for k, positions in enumerate(per_video):
-            members = [videos[video_id][j] for j in positions]
+    for video_id, video in videos.items():
+        table = _screened_table(video) if screen else None
+        groups: list[list[int]] = []  # zones as positions in the video
+        for i, clip in enumerate(video):
+            windows = [group[-recent:] for group in groups]
+            choice = None if table is None else _screened_choice(table[i, :i].tolist(), windows, theta)
+            if choice is None:
+                choice = _exact_choice(clip, [[video[j] for j in w] for w in windows], same_zone, theta)
+            if choice >= 0:
+                groups[choice].append(i)
+            else:
+                groups.append([i])
+        del table  # freed before the next video's is built
+        for k, positions in enumerate(groups):
+            members = [video[j] for j in positions]
             visual, text = zone_descriptors(members)
             zones.append(Zone(
                 zone_id=f"{video_id}:{k}",

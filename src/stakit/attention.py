@@ -185,10 +185,6 @@ class TokenBundle:
                     f"positional embeddings have shape {self.positional.shape}, expected ({rows}, {d})"
                 )
 
-    @property
-    def d_model(self) -> int:
-        return self.tokens.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # shared attention core (no residual; callers add their own residual stream)

@@ -34,6 +34,7 @@ class BoxAnnotation:
     box: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "box", tuple(self.box))  # a list given as box could change after the check
         x1, y1, x2, y2 = self.box
         if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
             raise ValueError(f"box must be finite with x1 < x2 and y1 < y2, got {self.box}")

@@ -17,6 +17,7 @@ from .affordance import (DEFAULT_K, DEFAULT_RECENT, DEFAULT_THETA, DEFAULT_WEIGH
                          descriptor_similarity_01, knn_query, ClipRecord, ZoneIndex)
 from .evaluation import GroundTruth, evaluate, standard_criteria
 from .hotspot import Detection, Detections, reweight, synth_gaussian_map
+from .linalg import softmax_rows
 
 NOUNS = ["knife", "plate", "cup", "pan", "sponge", "kettle"]
 VERBS = ["take", "cut", "wash", "pour"]
@@ -26,11 +27,6 @@ N_VIDEOS = 3
 CLIPS_PER_VIDEO = 6
 N_IMAGES = 6
 ORDERS = ("fuse-first", "reweight-first")
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
 
 
 def _synth_clips(rng: np.random.Generator, n_videos: int, per_video: int) -> list[ClipRecord]:
@@ -91,8 +87,8 @@ def _synth_image(rng: np.random.Generator, uid: str):
                 verb=verb,
                 ttc=float(max(0.05, gt.ttc + rng.normal(scale=0.1))),
                 score=float(rng.uniform(0.2, 0.95)),
-                noun_probs=_softmax(noun_logits),
-                verb_probs=_softmax(verb_logits),
+                noun_probs=softmax_rows(noun_logits[None])[0],
+                verb_probs=softmax_rows(verb_logits[None])[0],
             ))
     centers = [(0.5 * (g.box[0] + g.box[2]) + rng.normal(scale=1.0),
                 0.5 * (g.box[1] + g.box[3]) + rng.normal(scale=1.0),

@@ -36,9 +36,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundTruth:
-    """Annotated next interaction for one image."""
+    """Annotated next interaction for one image; frozen, so the checks it passed when built still hold."""
 
     uid: str
     box: tuple[float, float, float, float]
@@ -47,6 +47,7 @@ class GroundTruth:
     ttc: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "box", tuple(self.box))  # a list given as box could change after the check
         x1, y1, x2, y2 = self.box
         if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
             raise ValueError(f"box must be finite with x1 < x2 and y1 < y2, got {self.box}")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -240,6 +241,52 @@ def test_build_zones_decides_rounding_close_calls_as_the_pairwise_loop(seed, d, 
     assert [z.clip_ids for z in got] == [[m.clip_id for m in members] for _, members in want]
 
 
+def by_video(clips):
+    """clips grouped by video: videos in order of first appearance, each video's clips in input order."""
+    first = {}
+    for c in clips:
+        first.setdefault(c.video_id, len(first))
+    return sorted(clips, key=lambda c: first[c.video_id])
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), d=st.integers(1, 4), videos=st.integers(2, 4),
+       theta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), recent=st.integers(1, 6),
+       with_text=st.booleans())
+def test_build_zones_gives_interleaved_videos_the_zones_of_the_same_clips_sorted_by_video(
+        tmp_path_factory, seed, n, d, videos, theta, recent, with_text):
+    clips = near_tie_clips(np.random.default_rng(seed), n, d, videos, with_text)
+    got = aff.build_zones(clips, aff.descriptor_similarity_01, theta, recent)
+    want = aff.build_zones(by_video(clips), aff.descriptor_similarity_01, theta, recent)
+    assert [(z.zone_id, z.clip_ids, z.nouns, z.verbs) for z in got] == \
+        [(z.zone_id, z.clip_ids, z.nouns, z.verbs) for z in want]
+    folder = tmp_path_factory.mktemp("zones")
+    assert zone_db_bytes(got, folder / "got.json") == zone_db_bytes(want, folder / "want.json")
+
+
+def test_build_zones_holds_one_screen_table_however_videos_interleave():
+    # each video's n x n table (n = 300: 0.7 MB) dominates the peak; interleaved input
+    # must not keep one video's table alive while another video's is built
+    rng = np.random.default_rng(23)
+    videos, per_video = 4, 300
+    anchors = rng.normal(size=(videos, 4, 16))
+    interleaved = [clip(f"c{i}", anchors[i % videos, i // videos % 4] + 0.05 * rng.normal(size=16),
+                        video=f"v{i % videos}") for i in range(videos * per_video)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for clips in (interleaved, by_video(interleaved)):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            zones = aff.build_zones(clips, aff.descriptor_similarity_01, theta=0.9)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            assert len(zones) == videos * 4
+            del zones
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 1.1 * peaks[1], peaks
+
+
 @pytest.fixture
 def counted_oracle(monkeypatch):
     """descriptor_similarity_01 replaced by a wrapper that logs each call, as the benchmark tracer does."""
@@ -276,6 +323,12 @@ def test_build_zones_screens_well_separated_clips_without_the_oracle(counted_ora
     ([clip("c0", [1.0, 0.0]), clip("c1", [0.0, 0.0])], 0.5, [("c1", "c0")], [["c0", "c1"]]),
     # a duplicate scores 1 (or a rounding off it), too near the end of the range to screen
     ([clip("c0", [0.3, 0.7]), clip("c1", [0.3, 0.7])], 0.5, [("c1", "c0")], [["c0", "c1"]]),
+    # a1's squared norm, 1e-120, is below the screen's 1e-100 floor, so video a gets no table and
+    # every pair it reads is rescored; video b, interleaved with it, is still screened
+    ([clip("a0", [1.0, 0.0], video="a"), clip("b0", [1.0, 0.2], video="b"),
+      clip("a1", [1e-60, 0.0], video="a"), clip("b1", [0.2, 1.0], video="b"),
+      clip("a2", [0.0, 1.0], video="a"), clip("b2", [1.0, 0.25], video="b")], 0.9,
+     [("a1", "a0"), ("a2", "a0"), ("a2", "a1")], [["a0", "a1"], ["a2"], ["b0", "b2"], ["b1"]]),
 ])
 def test_build_zones_rescores_near_ties_with_the_oracle(counted_oracle, clips, theta, rescored, want):
     oracle, calls = counted_oracle

@@ -1,6 +1,7 @@
 """Annotation curation tests: each stage's rule as curate input and records, the
 staged oracle, and end-to-end fuzz."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -253,6 +254,15 @@ def test_annotation_validation():
         BoxAnnotation("v", -1, "cup", (0.0, 0.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="start < stop"):
         ActionSegment("v", 10, 10, "take", "cup")
+
+
+def test_box_annotation_holds_its_own_corners():
+    corners = [0.0, 0.0, 10.0, 10.0]
+    annotation = BoxAnnotation("v", 1, "cup", corners)
+    corners[2] = -5.0  # the row holds its own copy of the corners it checked
+    assert annotation.box == (0.0, 0.0, 10.0, 10.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        annotation.box = (3.0, 0.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])

@@ -1,5 +1,7 @@
 """Top-5 mAP engine tests: fixtures, brute-force equivalence, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,21 @@ def test_ground_truth_and_detection_reject_non_finite_box(box):
         gt("img0", box, 0, "take", 1.0)
     with pytest.raises(ValueError, match="finite"):
         det("img0", box, 0, "take", 1.0, 0.5)
+
+
+GT_FIELD_CHANGES = {"uid": "img9", "box": (3.0, 0.0, 1.0, 1.0), "noun": "cup", "verb": "cut", "ttc": -3.0}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(GroundTruth)])
+def test_ground_truth_row_is_frozen_and_holds_its_own_corners(field):
+    corners = [0.0, 0.0, 10.0, 10.0]
+    row = gt("img0", corners, "knife", "take", 1.0)
+    corners[2] = -5.0  # the row holds its own copy of the corners it checked
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(row, field, GT_FIELD_CHANGES[field])
+    assert row == gt("img0", (0.0, 0.0, 10.0, 10.0), "knife", "take", 1.0)
+    report = ev.evaluate([det("img0", (0, 0, 10, 10), "knife", "take", 1.0, 0.9)], [row])
+    assert all(report.maps[name] == 1.0 for name in NAMES)
 
 
 # ---------------------------------------------------------------------------
