@@ -19,8 +19,9 @@ Every operator has an analytic backward pass for the scalar loss
 ``sum(output ** 2) / 2``; ``grad_check`` compares those gradients
 against central finite differences and reports the worst offender.  The
 forward stages are rank-generic: they take stacks of token matrices or
-weights (leading batch axes), so ``grad_check`` runs every perturbed copy
-of a tensor through one pass, and the 2-D operators run the same code.
+weights (leading batch axes), so ``grad_check`` runs the perturbed copies
+of the tensors that feed one stage through shared passes, and the 2-D
+operators run the same code.
 
 Class-token fusion lives here too since it shares the token layout.
 """
@@ -73,14 +74,18 @@ class AttentionWeights:
     def __post_init__(self) -> None:
         if not len(self.w_q) or len(self.w_q) != len(self.w_k) or len(self.w_q) != len(self.w_v):
             raise ValueError("w_q, w_k, w_v need one matrix per head")
-        d_model, d_head = self.w_q[0].shape
+        first = np.shape(self.w_q[0])
+        if len(first) != 2:
+            raise ValueError(f"w_q.h0 has shape {first}, expected a (d_model, d_head) matrix")
+        d_model, d_head = first
         if d_head == 0:
             raise ValueError("heads have width 0; each head needs at least one column")
         for name in ("w_q", "w_k", "w_v"):
             for h, m in enumerate(getattr(self, name)):
-                if m.shape != (d_model, d_head):
-                    raise ValueError(f"{name}.h{h} has shape {m.shape}, expected {(d_model, d_head)}")
+                if np.shape(m) != (d_model, d_head):
+                    raise ValueError(f"{name}.h{h} has shape {np.shape(m)}, expected {(d_model, d_head)}")
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        self.w_o = np.asarray(self.w_o, dtype=np.float64)
         if self.w_o.shape != (len(self.w_q) * d_head, d_model):
             raise ValueError(
                 f"w_o has shape {self.w_o.shape}, expected {(len(self.w_q) * d_head, d_model)}"
@@ -119,7 +124,11 @@ class AttentionWeights:
 
 @dataclass
 class MlpWeights:
-    """Two affine layers with a GELU between them (tanh form)."""
+    """Two affine layers with a GELU between them (tanh form).
+
+    w1 is (d_model, hidden), b1 (hidden,), w2 (hidden, d_model) and b2
+    (d_model,); construction stores each as a float64 array.
+    """
 
     w1: np.ndarray
     b1: np.ndarray
@@ -127,12 +136,16 @@ class MlpWeights:
     b2: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("w1", "b1", "w2", "b2"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        if self.w1.ndim != 2:
+            raise ValueError(f"mlp shapes inconsistent: w1 has shape {self.w1.shape}, expected (d_model, hidden)")
         d, hidden = self.w1.shape
-        if self.b1.shape != (hidden,) or self.w2.shape != (hidden, d) or self.b2.shape != (d,):
-            raise ValueError(
-                f"mlp shapes inconsistent: w1 {self.w1.shape}, b1 {self.b1.shape}, "
-                f"w2 {self.w2.shape}, b2 {self.b2.shape}"
-            )
+        for name, shape in (("b1", (hidden,)), ("w2", (hidden, d)), ("b2", (d,))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(
+                    f"mlp shapes inconsistent: {name} has shape {getattr(self, name).shape}, expected {shape}"
+                )
 
     @classmethod
     def zeros(cls, d_model: int, hidden: int | None = None) -> "MlpWeights":
@@ -204,6 +217,9 @@ def _attend_forward(q_src: np.ndarray, kv_src: np.ndarray, w: AttentionWeights):
             f"token width mismatch: queries {q_src.shape}, keys/values {kv_src.shape}, "
             f"weights expect d_model={w.d_model}"
         )
+    for side, src in (("queries", q_src), ("keys/values", kv_src)):
+        if src.shape[-2] == 0:
+            raise ValueError(f"the {side} have no tokens, shape {src.shape}; attention needs at least one row")
     scale = 1.0 / math.sqrt(w.d_head)
     # The head products stay separate calls: bench/spans.py's matmul flop
     # hook unpacks 2-D operand shapes only, so a product stacked over the
@@ -454,49 +470,47 @@ def _loss(outputs: list[np.ndarray]):
     return 0.5 * sum(np.sum(y * y, axis=(-2, -1)) for y in outputs)
 
 
-def _attend_after_change(w: AttentionWeights, base: dict, kind: str, h: int,
-                         value: np.ndarray) -> np.ndarray:
-    """Attention output after head ``h``'s ``kind`` projection ("w_q", "w_k"
-    or "w_v") of ``w`` took ``value``, one matrix or a stack of them, since
-    the pass that produced ``base``, the cache of ``_attend_forward``.
+def _attend_after_change(w: AttentionWeights, base: dict, h: int, w_q: np.ndarray, w_k: np.ndarray,
+                         w_v: np.ndarray) -> np.ndarray:
+    """Attention output after head ``h``'s projections of ``w`` took ``w_q``,
+    ``w_k`` and ``w_v``, each one matrix or a stack of them (the stacks of
+    one call hold the same number of slices), since the pass that produced
+    ``base``, the cache of ``_attend_forward``.
 
     A head's projections only enter that head's slice of the concatenated
     outputs, so the other heads' slices are reused; the arithmetic matches a
     full pass bit for bit, slice by slice, since ``softmax_rows`` gives one
     head's scores the bits of that head's slice of the full pass's stack.
     """
-    mats = {"w_q": w.w_q[h], "w_k": w.w_k[h], "w_v": w.w_v[h], kind: value}
-    _, _, v, scores = _head_products(base["q_src"], base["kv_src"], mats["w_q"], mats["w_k"], mats["w_v"])
+    _, _, v, scores = _head_products(base["q_src"], base["kv_src"], w_q, w_k, w_v)
     out_h = linalg.matmul(linalg.softmax_rows(scores * base["scale"]), v)
     concat = np.broadcast_to(base["concat"], out_h.shape[:-1] + base["concat"].shape[-1:]).copy()
     concat[..., h * w.d_head:(h + 1) * w.d_head] = out_h
     return linalg.matmul(concat, w.w_o)
 
 
-def _attention_entries(prefix: str, w: AttentionWeights, base: dict, grads: AttentionWeights, finish):
-    """Checked-tensor entries of one attention block's weights: each head's
-    w_q, w_k and w_v in head order, then w_o.  ``finish(out)`` turns a stack
-    of the block's outputs into losses; w_o only enters the output
-    projection, so its stack multiplies the cached concatenation."""
-    def head_losses(kind, h):
-        return lambda stack: finish(_attend_after_change(w, base, kind, h, stack))
+def _attention_groups(prefix: str, w: AttentionWeights, base: dict, grads: AttentionWeights, finish):
+    """Checked-tensor groups of one attention block's weights: each head's
+    w_q, w_k and w_v, which rerun that head, in head order, then w_o.
+    ``finish(out)`` turns a stack of the block's outputs into losses; w_o
+    only enters the output projection, so its stack multiplies the cached
+    concatenation."""
+    def head_losses(h):
+        return lambda w_q, w_k, w_v: finish(_attend_after_change(w, base, h, w_q, w_k, w_v))
 
     for h in range(w.heads):
-        for kind in ("w_q", "w_k", "w_v"):
-            yield f"{prefix}{kind}.h{h}", (getattr(w, kind)[h], getattr(grads, kind)[h], head_losses(kind, h))
-    yield f"{prefix}w_o", (w.w_o, grads.w_o, lambda stack: finish(linalg.matmul(base["concat"], stack)))
+        yield ({f"{prefix}{kind}.h{h}": (getattr(w, kind)[h], getattr(grads, kind)[h])
+                for kind in ("w_q", "w_k", "w_v")}, head_losses(h))
+    yield {f"{prefix}w_o": (w.w_o, grads.w_o)}, lambda w_o: finish(linalg.matmul(base["concat"], w_o))
 
 
-def _field_entries(prefix: str, fields, grads: dict, rerun):
-    """Checked-tensor entries of the arrays of a token or weights dataclass,
-    by field, skipping absent ones; ``rerun(**fields)`` turns the fields,
-    one of them a perturbed stack, into losses."""
-    def losses(field):
-        return lambda stack: rerun(**{**vars(fields), field: stack})
-
-    for field, arr in vars(fields).items():
-        if arr is not None:
-            yield f"{prefix}{field}", (arr, grads[field], losses(field))
+def _field_group(prefix: str, fields, grads: dict, rerun):
+    """The checked-tensor group of the arrays of a token or weights
+    dataclass, by field, skipping absent ones; its losses call
+    ``rerun(**fields)`` with the present fields replaced, in order."""
+    present = [field for field, arr in vars(fields).items() if arr is not None]
+    return ({f"{prefix}{field}": (getattr(fields, field), grads[field]) for field in present},
+            lambda *arrays: rerun(**{**vars(fields), **dict(zip(present, arrays))}))
 
 
 def _mha_like_case(q_name: str, kv_name: str):
@@ -508,13 +522,11 @@ def _mha_like_case(q_name: str, kv_name: str):
         out, base = _attend_forward(q.tokens, kv.tokens, w)
         y = q.tokens + out
         d_q, d_kv, gw = _attend_backward(y, base, w)
-        finish = lambda out: _loss([q.tokens + out])
-        return dict([
-            (f"{q_name}.tokens", (q.tokens, d_q + y,
-                                  lambda stack: _loss([stack + _attend_forward(stack, kv.tokens, w)[0]]))),
-            (f"{kv_name}.tokens", (kv.tokens, d_kv, lambda stack: finish(_attend_forward(q.tokens, stack, w)[0]))),
-            *_attention_entries("", w, base, gw, finish),
-        ])
+        return [
+            ({f"{q_name}.tokens": (q.tokens, d_q + y), f"{kv_name}.tokens": (kv.tokens, d_kv)},
+             lambda q_src, kv_src: _loss([q_src + _attend_forward(q_src, kv_src, w)[0]])),
+            *_attention_groups("", w, base, gw, lambda out: _loss([q.tokens + out])),
+        ]
 
     return build
 
@@ -544,26 +556,29 @@ def _dual_case(inputs, weights):
     rerun_v = lambda **f: _loss(_dual_forward(x_i, _stack_with_class(**f, side="video"), w_image, w_video, mlp)[:2])
     finish_i = lambda y_i: _loss([y_i, y_v0])
     finish_v = lambda y_v: _loss([y_i0, y_v])
-    return dict([
-        *_field_entries("image.", image, token_grads(d_x_i), rerun_i),
-        *_field_entries("video.", video, token_grads(d_x_v), rerun_v),
-        *_attention_entries("image_branch.", w_image, base["att_i"], g_image,
-                            lambda att: finish_i(_mlp_forward(x_i + att, **vars(mlp.image))[0])),
-        *_attention_entries("video_branch.", w_video, base["att_v"], g_video,
-                            lambda att: finish_v(_mlp_forward(x_v + att, **vars(mlp.video))[0])),
-        *_field_entries("mlp.image.", mlp.image, vars(g_mlp_i),
-                        lambda **f: finish_i(_mlp_forward(base["mlp_i"]["x"], **f)[0])),
-        *_field_entries("mlp.video.", mlp.video, vars(g_mlp_v),
-                        lambda **f: finish_v(_mlp_forward(base["mlp_v"]["x"], **f)[0])),
-    ])
+    return [
+        _field_group("image.", image, token_grads(d_x_i), rerun_i),
+        _field_group("video.", video, token_grads(d_x_v), rerun_v),
+        *_attention_groups("image_branch.", w_image, base["att_i"], g_image,
+                           lambda att: finish_i(_mlp_forward(x_i + att, **vars(mlp.image))[0])),
+        *_attention_groups("video_branch.", w_video, base["att_v"], g_video,
+                           lambda att: finish_v(_mlp_forward(x_v + att, **vars(mlp.video))[0])),
+        _field_group("mlp.image.", mlp.image, vars(g_mlp_i),
+                     lambda **f: finish_i(_mlp_forward(base["mlp_i"]["x"], **f)[0])),
+        _field_group("mlp.video.", mlp.video, vars(g_mlp_v),
+                     lambda **f: finish_v(_mlp_forward(base["mlp_v"]["x"], **f)[0])),
+    ]
 
 
 GRAD_CHECK_OPS = ("mha", "frame_guided_pooling", "dual_attention")
 
 # op -> build(inputs, weights), which returns the checked tensors as one
-# ordered table, name -> (tensor, analytic gradient, losses): the gradient
-# comes from one unperturbed pass, and losses(stack) is the loss of each
-# slice of a stack of perturbed copies of the tensor.
+# ordered table of groups, each ({name: (tensor, analytic gradient)},
+# losses): the gradients come from one unperturbed pass, and a group holds
+# the tensors whose perturbations rerun the same stages.  losses takes the
+# group's tensors in order, any of them a stack of perturbed copies (the
+# stacks of one call hold the same number of slices), and returns the loss
+# of each slice.
 _CASE_BUILDERS = {
     "mha": _mha_like_case("queries", "keys_values"),
     "frame_guided_pooling": _mha_like_case("last_frame", "video"),
@@ -572,6 +587,55 @@ _CASE_BUILDERS = {
 
 # Perturbed copies per stacked forward pass in ``grad_check``.
 _STACK_CHUNK = 128
+
+
+def _passes(copies: list[int], chunk: int):
+    """Split the perturbed copies of a group's tensors into stacked passes.
+
+    copies[i] is the number of copies of the group's i-th tensor.  Yields
+    each pass as its (tensor, first copy, end copy) ranges: a tensor with
+    more than ``chunk`` copies runs alone, ``chunk`` copies at a time, and
+    the others share passes, packed whole in table order while their
+    copies fit in one chunk.
+    """
+    pack, filled = [], 0
+    for i, n in enumerate(copies):
+        if n > chunk:
+            for start in range(0, n, chunk):
+                yield [(i, start, min(start + chunk, n))]
+            continue
+        if filled + n > chunk:
+            yield pack
+            pack, filled = [], 0
+        pack.append((i, 0, n))
+        filled += n
+    if filled:
+        yield pack
+
+
+def _stacked_arguments(tensors: list[np.ndarray], ranges, epsilon: float) -> list[np.ndarray]:
+    """The group's tensors for one pass over ``ranges``: copy j of an
+    n-scalar tensor adds epsilon to its scalar j in C order for j < n and
+    subtracts it from scalar j - n otherwise.  Each tensor that a range
+    touches becomes a stack with one slice per copy of the pass, holding
+    its own copies in the range's slices and its unperturbed values in the
+    rest; the others stay as they are."""
+    slices = sum(stop - start for _, start, stop in ranges)
+    arguments = list(tensors)
+    at = 0
+    for i, start, stop in ranges:
+        n = tensors[i].size
+        stack = np.empty((slices, n))
+        stack[...] = tensors[i].reshape(-1)
+        # copy j lies in row at + j - start, so the range's copies below n
+        # and those from n on each perturb one diagonal of the stack
+        cells = stack.reshape(-1)
+        half = min(max(start, n), stop)
+        cells[at * n + start::n + 1][:half - start] += epsilon
+        cells[(at + half - start) * n + half - n::n + 1][:stop - half] -= epsilon
+        arguments[i] = stack.reshape((slices,) + tensors[i].shape)
+        at += stop - start
+    return arguments
 
 
 def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckReport:
@@ -587,17 +651,25 @@ def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckR
     the worst one; a NaN error (say from a NaN input) is the worst, and the
     report names the first tensor that had one.
 
-    The 2n perturbed copies of an n-scalar tensor (+epsilon, then
-    -epsilon, for each scalar in C order) form one stack, and only the
-    stages that tensor feeds run over it, as one rank-generic pass; every
-    loss has the same bits as a full 2-D pass at that perturbation.  The
-    stack goes through ``_STACK_CHUNK`` (128) copies at a time, so a chunk
-    holds at most 128 x n floats, 1 MiB for the (16, 64) MLP weight of a
-    d_model 16 ``dual_attention`` instance and 16 MiB for the (64, 256)
-    one at d_model 64.  With its pass's intermediates the check peaks
-    below four chunks of its largest tensor (2.7 and 22 MiB traced at
-    those two sizes), however many scalars it checks.  The inputs are
-    never modified.
+    An n-scalar tensor has 2n perturbed copies (+epsilon, then -epsilon,
+    for each scalar in C order).  The tensors whose perturbations rerun the
+    same stages form a group: one side's tokens, class token and positions
+    or the two token sets of an operator, one head's w_q, w_k and w_v, a
+    w_o, one MLP's four arrays.  A group's copies run as stacks through
+    one rank-generic pass of only the stages the group feeds, at most
+    ``_STACK_CHUNK`` (128) copies per pass: a tensor with more copies than
+    that runs alone, chunk by chunk, and the others share passes, packed
+    whole in table order while they fit, each stack holding its tensor's
+    unperturbed values in the slices that perturb another.  Every loss has
+    the same bits as a full 2-D pass at its perturbation.  Each pass makes
+    its own stacks: a tensor running alone takes 128 x n floats, 1 MiB for
+    the (16, 64) MLP weight of a d_model 16 ``dual_attention`` instance and
+    16 MiB for the (64, 256) one at d_model 64, and a shared pass at most
+    128 x 64 floats in all, since its tensors hold at most 64 scalars
+    together.  With its pass's intermediates the check peaks below four
+    chunks of its largest tensor (2.7 and 22 MiB traced at those two
+    sizes), however many scalars it checks.  The inputs are never
+    modified.
     """
     if op_id not in _CASE_BUILDERS:
         raise ValueError(f"unknown grad-check op {op_id!r}; expected one of {GRAD_CHECK_OPS}")
@@ -606,27 +678,26 @@ def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckR
     worst = ""
     max_rel = 0.0
     checked = 0
-    for name, (arr, grad, losses) in _CASE_BUILDERS[op_id](inputs, weights).items():
-        n = arr.size
-        flat = arr.reshape(-1)
-        perturbed = np.concatenate([flat + epsilon, flat - epsilon])
-        loss = np.empty(2 * n)
-        buffer = np.empty((min(2 * n, _STACK_CHUNK), n))
-        for start in range(0, 2 * n, _STACK_CHUNK):
-            rows = np.arange(start, min(start + _STACK_CHUNK, 2 * n))
-            stack = buffer[:rows.size]
-            stack[...] = flat
-            stack[rows - start, rows % n] = perturbed[rows]
-            loss[rows] = losses(stack.reshape((rows.size,) + arr.shape))
-        numeric = (loss[:n] - loss[n:]) / (2.0 * epsilon)
-        analytic = np.asarray(grad, dtype=np.float64).reshape(-1)
-        scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-8)
-        rel = float(np.max(np.abs(analytic - numeric))) / scale
-        # a NaN error fails every tolerance, so the first one is the worst
-        if rel > max_rel or (math.isnan(rel) and not math.isnan(max_rel)):
-            max_rel = rel
-            worst = name
-        checked += arr.size
+    for entries, losses in _CASE_BUILDERS[op_id](inputs, weights):
+        tensors = [arr for arr, _ in entries.values()]
+        loss = [np.empty(2 * arr.size) for arr in tensors]
+        for ranges in _passes([2 * arr.size for arr in tensors], _STACK_CHUNK):
+            got = losses(*_stacked_arguments(tensors, ranges, epsilon))
+            at = 0
+            for i, start, stop in ranges:
+                loss[i][start:stop] = got[at:at + stop - start]
+                at += stop - start
+        for (name, (arr, grad)), tensor_loss in zip(entries.items(), loss):
+            n = arr.size
+            numeric = (tensor_loss[:n] - tensor_loss[n:]) / (2.0 * epsilon)
+            analytic = np.asarray(grad, dtype=np.float64).reshape(-1)
+            scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-8)
+            rel = float(np.max(np.abs(analytic - numeric))) / scale
+            # a NaN error fails every tolerance, so the first one is the worst
+            if rel > max_rel or (math.isnan(rel) and not math.isnan(max_rel)):
+                max_rel = rel
+                worst = name
+            checked += n
     return GradCheckReport(max_rel_error=max_rel, params_checked=checked, worst=worst)
 
 

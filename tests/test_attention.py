@@ -73,6 +73,35 @@ def test_attention_weights_store_one_stack_per_projection(as_stack):
         assert stack.tobytes() == np.stack(m).tobytes()
 
 
+def test_weights_store_lists_as_float64_arrays():
+    eye = np.eye(2).tolist()
+    w = AttentionWeights(w_q=[eye], w_k=[eye], w_v=[eye], w_o=eye)
+    mlp = MlpWeights([[1, 2, 3], [4, 5, 6]], [0, 1, 2], [[1, 0], [0, 1], [1, 1]], [3, 4])
+    for arr in (w.w_q, w.w_k, w.w_v, w.w_o, mlp.w1, mlp.b1, mlp.w2, mlp.b2):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+    assert w.w_o.tobytes() == np.eye(2).tobytes()
+    assert mlp.w2.tobytes() == np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]).tobytes()
+    assert att.mha(TokenBundle(np.ones((1, 2))), TokenBundle(np.ones((1, 2))), w).tokens.tolist() == [[2.0, 2.0]]
+
+
+def test_weights_name_a_field_of_the_wrong_rank():
+    eye = np.eye(3)
+    with pytest.raises(ValueError, match=r"w_q.h0 has shape \(3,\), expected a \(d_model, d_head\) matrix"):
+        AttentionWeights(w_q=[np.zeros(3)], w_k=[eye], w_v=[eye], w_o=eye)
+    with pytest.raises(ValueError, match=r"w_q.h0 has shape \(3,\)"):
+        AttentionWeights(w_q=np.zeros((2, 3)), w_k=np.zeros((2, 3)), w_v=np.zeros((2, 3)), w_o=eye)
+    with pytest.raises(ValueError, match=r"w_v.h0 has shape \(3,\), expected \(3, 3\)"):
+        AttentionWeights(w_q=[eye], w_k=[eye], w_v=[[0.0, 0.0, 0.0]], w_o=eye)
+    with pytest.raises(ValueError, match=r"w_o has shape \(3,\), expected \(3, 3\)"):
+        AttentionWeights(w_q=[eye], w_k=[eye], w_v=[eye], w_o=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"w1 has shape \(2,\), expected \(d_model, hidden\)"):
+        MlpWeights(np.zeros(2), np.zeros(2), np.zeros((2, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match=r"b1 has shape \(2, 1\), expected \(4,\)"):
+        MlpWeights(np.zeros((2, 4)), np.zeros((2, 1)), np.zeros((4, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match=r"b2 has shape \(3,\), expected \(2,\)"):
+        MlpWeights([[0.0] * 4] * 2, [0.0] * 4, [[0.0] * 2] * 4, [0.0] * 3)
+
+
 def test_random_weights_draw_the_per_head_stream():
     # one (heads, d_model, d_head) draw per projection takes the same numbers
     # as one (d_model, d_head) draw per head did
@@ -178,6 +207,22 @@ def test_mha_width_mismatch_error():
     with pytest.raises(ValueError, match="token width mismatch"):
         att.mha(TokenBundle(np.zeros((2, 3))), TokenBundle(np.zeros((2, 4))),
                 AttentionWeights.identity(3))
+
+
+@pytest.mark.parametrize("n_q, n_kv, side", [(0, 3, "queries"), (2, 0, "keys/values"), (0, 0, "queries")])
+def test_attention_rejects_a_token_set_without_rows(n_q, n_kv, side):
+    (q, kv), w = att.random_instance("mha", 4, d_model=4)
+    q, kv = TokenBundle(q.tokens[:n_q]), TokenBundle(kv.tokens[:n_kv])
+    message = f"the {side} have no tokens"
+    with pytest.raises(ValueError, match=message):
+        att.mha(q, kv, w)
+    with pytest.raises(ValueError, match=message):
+        att.grad_check("mha", (q, kv), w)
+    if n_q <= n_kv:  # pooling first rejects a last frame longer than the stack
+        with pytest.raises(ValueError, match=message):
+            att.frame_guided_pooling(q, kv, w)
+        with pytest.raises(ValueError, match=message):
+            att.grad_check("frame_guided_pooling", (q, kv), w)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +533,12 @@ def test_grad_check_reports_nan_for_a_nan_token(side):
 
 
 def test_grad_check_names_the_first_tensor_with_a_nan_error(monkeypatch):
-    # losses(stack) = sum(stack ** 2) / 2 per slice, whose gradient is the tensor itself
-    half_square = lambda stack: 0.5 * np.sum(stack * stack, axis=-1)
+    # the loss is the sum of each tensor's sum(t ** 2) / 2, whose gradient is the tensor itself;
+    # a tensor passed as it is adds the same constant to every slice
+    half_square = lambda *tensors: sum(0.5 * np.sum(t * t, axis=-1) for t in tensors)
     x = np.array([1.0, -2.0])
-    table = {"close": (x, 1.01 * x, half_square), "nan": (x, np.array([1.0, math.nan]), half_square),
-             "far": (x, 3.0 * x, half_square), "nan_again": (x, np.full(2, math.nan), half_square)}
+    table = [({"close": (x, 1.01 * x), "nan": (x, np.array([1.0, math.nan]))}, half_square),
+             ({"far": (x, 3.0 * x), "nan_again": (x, np.full(2, math.nan))}, half_square)]
     monkeypatch.setitem(att._CASE_BUILDERS, "mha", lambda inputs, weights: table)
     report = att.grad_check("mha", None, None)
     assert math.isnan(report.max_rel_error)
@@ -514,14 +560,14 @@ def test_grad_check_linear_case_is_nearly_exact():
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), heads=st.integers(1, 4), d_head=st.integers(1, 4),
        d_model=st.integers(1, 6), n_q=st.integers(1, 5), n_kv=st.integers(1, 5),
-       stacked=st.sampled_from([None, "queries", "keys_values"]), copies=st.integers(1, 3))
+       stacked=st.sampled_from([None, "queries", "keys_values", "both"]), copies=st.integers(1, 3))
 def test_attend_forward_equals_the_per_head_loop(seed, heads, d_head, d_model, n_q, n_kv, stacked, copies):
     rng = np.random.default_rng(seed)
     stacks = {name: rng.normal(size=(heads, d_model, d_head)) for name in ("w_q", "w_k", "w_v")}
     w = AttentionWeights(**stacks, w_o=rng.normal(size=(heads * d_head, d_model)))
-    # grad_check passes (copies, n, d) stacks of perturbed sources on either side
-    q_src = rng.normal(size=((copies,) if stacked == "queries" else ()) + (n_q, d_model))
-    kv_src = rng.normal(size=((copies,) if stacked == "keys_values" else ()) + (n_kv, d_model))
+    # grad_check passes (copies, n, d) stacks of perturbed sources on either side or both
+    q_src = rng.normal(size=((copies,) if stacked in ("queries", "both") else ()) + (n_q, d_model))
+    kv_src = rng.normal(size=((copies,) if stacked in ("keys_values", "both") else ()) + (n_kv, d_model))
     out, cache = att._attend_forward(q_src, kv_src, w)
     want_out, want_concat, want_heads = loop_attend_forward(q_src, kv_src, w, linalg.matmul,
                                                             linalg.softmax_rows)
@@ -592,21 +638,36 @@ def test_grad_check_all_ops_single_seed(op):
 
 @pytest.mark.parametrize("op", att.GRAD_CHECK_OPS)
 def test_grad_check_partial_loss_equals_full_pass(op):
-    # the stacked losses recompute only the stages a perturbed tensor feeds;
-    # each slice's loss must equal the public 2-D operator's loss with the
-    # tensor set to that slice
+    # a group's losses recompute only the stages its tensors feed; each
+    # slice's loss must equal the public 2-D operator's loss with every
+    # tensor of the group set to its slice (the table's tensors alias the
+    # instance's arrays)
     inputs, weights = att.random_instance(op, 5, d_model=6, heads=2,
                                           n_tokens=2, mlp_hidden=8)
-    for name, (arr, _, losses) in att._CASE_BUILDERS[op](inputs, weights).items():
-        stack = np.repeat(arr[None], 2, axis=0)
-        stack[0].flat[0] += 1e-3
-        stack[1].flat[arr.size - 1] += 1e-3
-        got = losses(stack)
-        orig = arr.copy()
-        for s in range(2):
-            arr[...] = stack[s]  # the table's tensors alias the instance's arrays
-            assert got[s] == full_pass_loss(op, inputs, weights), (name, s)
-        arr[...] = orig
+
+    def assert_slices_equal_full_passes(losses, tensors, stacks, label):
+        got = losses(*stacks)
+        origs = [arr.copy() for arr in tensors]
+        for s in range(len(got)):
+            for arr, stack in zip(tensors, stacks):
+                arr[...] = stack[s] if stack.ndim > arr.ndim else stack
+            assert got[s] == full_pass_loss(op, inputs, weights), (label, s)
+        for arr, orig in zip(tensors, origs):
+            arr[...] = orig
+
+    for entries, losses in att._CASE_BUILDERS[op](inputs, weights):
+        tensors = [arr for arr, _ in entries.values()]
+        # one tensor stacked, the others passed as they are
+        for i, name in enumerate(entries):
+            stack = np.repeat(tensors[i][None], 2, axis=0)
+            stack[0].flat[0] += 1e-3
+            stack[1].flat[tensors[i].size - 1] += 1e-3
+            assert_slices_equal_full_passes(losses, tensors, [*tensors[:i], stack, *tensors[i + 1:]], name)
+        # every tensor stacked, slice s perturbing tensor s only
+        stacks = [np.repeat(arr[None], len(tensors), axis=0) for arr in tensors]
+        for s, stack in enumerate(stacks):
+            stack[s].flat[s % stack[s].size] -= 1e-3
+        assert_slices_equal_full_passes(losses, tensors, stacks, list(entries))
 
 
 # the checked tensors of random_instance(op, 0) (d_model 8, heads 2), in
@@ -627,12 +688,18 @@ CHECKED_NAMES = {
 }
 
 
+def checked_tensors(op, inputs, weights) -> dict:
+    """The case builder's table as one dict, name -> (tensor, gradient), in table order."""
+    return {name: entry for entries, _ in att._CASE_BUILDERS[op](inputs, weights)
+            for name, entry in entries.items()}
+
+
 @pytest.mark.parametrize("op", att.GRAD_CHECK_OPS)
 def test_grad_check_table_order_and_gradient_shapes(op):
     inputs, weights = att.random_instance(op, 0)
-    table = att._CASE_BUILDERS[op](inputs, weights)
-    assert list(table) == CHECKED_NAMES[op]
-    for name, (arr, grad, _) in table.items():
+    checked = checked_tensors(op, inputs, weights)
+    assert list(checked) == CHECKED_NAMES[op]
+    for name, (arr, grad) in checked.items():
         assert np.shape(grad) == arr.shape, name
 
 
@@ -646,9 +713,9 @@ def full_pass_loss(op, inputs, weights) -> float:
 
 
 def loop_report(op, inputs, weights, epsilon=1e-5):
-    table = att._CASE_BUILDERS[op](inputs, weights)
-    params = {name: arr for name, (arr, _, _) in table.items()}
-    grads = {name: grad for name, (_, grad, _) in table.items()}
+    checked = checked_tensors(op, inputs, weights)
+    params = {name: arr for name, (arr, _) in checked.items()}
+    grads = {name: grad for name, (_, grad) in checked.items()}
     return loop_grad_check(params, lambda: full_pass_loss(op, inputs, weights), grads, epsilon)
 
 
@@ -670,18 +737,56 @@ def test_grad_check_report_equals_per_scalar_loop(op, seed, heads):
 
 @pytest.mark.parametrize("op", att.GRAD_CHECK_OPS)
 def test_grad_check_report_does_not_depend_on_the_chunk(op, monkeypatch):
+    # 1 and 7 split every tensor; 48 and 100 pack the small tensors of a
+    # group into shared passes and split the large ones
     inputs, weights = criterion_instance(op, 7)
     expected = att.grad_check(op, inputs, weights).to_json()
-    for chunk in (1, 7):
+    for chunk in (1, 7, 48, 100):
         monkeypatch.setattr(att, "_STACK_CHUNK", chunk)
         assert att.grad_check(op, inputs, weights).to_json() == expected, chunk
+
+
+def test_passes_pack_small_tensors_whole_and_split_large_ones():
+    # the copies of one dual MLP at the benchmark's size: w1 and w2 exceed a chunk
+    assert list(att._passes([144, 24, 144, 12], 128)) == [
+        [(0, 0, 128)], [(0, 128, 144)], [(2, 0, 128)], [(2, 128, 144)], [(1, 0, 24), (3, 0, 12)]]
+    # one head's w_q, w_k and w_v: two fill a chunk, the third starts the next
+    assert list(att._passes([64, 64, 64], 128)) == [[(0, 0, 64), (1, 0, 64)], [(2, 0, 64)]]
+    assert list(att._passes([48, 96], 128)) == [[(0, 0, 48)], [(1, 0, 96)]]
+    assert list(att._passes([3, 2], 1)) == [[(0, 0, 1)], [(0, 1, 2)], [(0, 2, 3)], [(1, 0, 1)], [(1, 1, 2)]]
+
+
+# passes per operation at the sizes of bench/workloads.py's gradcheck instances;
+# one pass per tensor and chunk took 9, 9 and 32
+BENCHMARK_PASSES = {"mha": 6, "frame_guided_pooling": 7, "dual_attention": 18}
+
+
+@pytest.mark.parametrize("op", att.GRAD_CHECK_OPS)
+def test_grad_check_runs_each_group_in_few_passes(op, monkeypatch):
+    if op == "dual_attention":
+        inputs, weights = att.random_instance(op, 0, d_model=6, heads=2, n_tokens=2, mlp_hidden=12)
+    else:
+        inputs, weights = att.random_instance(op, 0, d_model=8, heads=2, n_tokens=3)
+    build = att._CASE_BUILDERS[op]
+    passes = []
+
+    def counted(losses):
+        def run(*tensors):
+            passes.append(1)
+            return losses(*tensors)
+        return run
+
+    monkeypatch.setitem(att._CASE_BUILDERS, op, lambda inputs, weights: [
+        (entries, counted(losses)) for entries, losses in build(inputs, weights)])
+    att.grad_check(op, inputs, weights)
+    assert len(passes) <= BENCHMARK_PASSES[op]
 
 
 def test_grad_check_memory_is_bounded_by_the_chunk():
     # the largest tensor is the (16, 64) MLP weight; unchunked, its 2048
     # perturbed copies alone would take 16 MiB
     inputs, weights = att.random_instance("dual_attention", 0, d_model=16)
-    largest = max(arr.size for arr, _, _ in att._CASE_BUILDERS["dual_attention"](inputs, weights).values())
+    largest = max(arr.size for arr, _ in checked_tensors("dual_attention", inputs, weights).values())
     tracemalloc.start()
     try:
         att.grad_check("dual_attention", inputs, weights)
