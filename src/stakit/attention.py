@@ -178,7 +178,8 @@ class TokenBundle:
 
     tokens is (n, d_model); class_token, when present, is a length-d_model
     vector that ops append as an extra row; positional, when present, must
-    cover tokens plus the class row.
+    cover tokens plus the class row.  Construction stores each present
+    field as a float64 array.
     """
 
     tokens: np.ndarray
@@ -186,6 +187,9 @@ class TokenBundle:
     positional: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        for name in ("tokens", "class_token", "positional"):
+            if getattr(self, name) is not None:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.tokens.ndim != 2:
             raise ValueError(f"tokens must be 2-D, got shape {self.tokens.shape}")
         d = self.tokens.shape[1]
@@ -648,7 +652,7 @@ def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckR
     entry is judged against its own tensor's gradient scale rather than
     against a near-zero value finite differences cannot resolve.  Returns
     the worst error, the number of scalars checked, and which tensor held
-    the worst one; a NaN error (say from a NaN input) is the worst, and the
+    the worst one; a tensor without scalars is skipped, and a NaN error (say from a NaN input) is the worst, and the
     report names the first tensor that had one.
 
     An n-scalar tensor has 2n perturbed copies (+epsilon, then -epsilon,
@@ -689,6 +693,8 @@ def grad_check(op_id: str, inputs, weights, epsilon: float = 1e-5) -> GradCheckR
                 at += stop - start
         for (name, (arr, grad)), tensor_loss in zip(entries.items(), loss):
             n = arr.size
+            if not n:  # a tensor without scalars has no error to report
+                continue
             numeric = (tensor_loss[:n] - tensor_loss[n:]) / (2.0 * epsilon)
             analytic = np.asarray(grad, dtype=np.float64).reshape(-1)
             scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-8)

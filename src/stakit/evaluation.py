@@ -1,13 +1,16 @@
 """Top-5 mean average precision for anticipated interactions.
 
 Protocol: per image, only the five highest-scored detections are kept
-(ties break toward input order).  Per noun class, kept detections are
-greedily assigned to ground-truth boxes in descending score order; a
-detection takes the unassigned same-class box with the highest IoU at or
-above the threshold.  The assignment depends on boxes and nouns only and
-is shared by all criteria; each criterion then accepts or rejects the
-assigned pair through its extra conditions (verb equality,
-time-to-contact proximity within the tolerance).  The IoU threshold and
+(ties break toward input order).  Per image and noun class, kept
+detections are greedily assigned to ground-truth boxes in descending
+score order; a detection takes the unassigned same-class box with the
+highest IoU at or above the threshold, the earlier box on ties.  Every
+(image, class) group assigns at once, one array step per rank, from one
+elementwise IoU pass over each kept detection's group.  The assignment
+depends on boxes and nouns only and is shared by all criteria; each
+criterion then accepts or rejects the assigned pair through its extra
+conditions (verb equality, time-to-contact proximity within the
+tolerance).  The IoU threshold and
 the ttc tolerance are set once per evaluation, so sharing the assignment
 guarantees the nesting overall <= noun_verb/noun_ttc <= noun for every
 input.  AP uses all-point interpolation (the precision envelope);
@@ -28,8 +31,6 @@ __all__ = [
     "MatchCriterion",
     "EvalReport",
     "standard_criteria",
-    "iou",
-    "assign_matches",
     "evaluate",
     "relative_gain",
     "diff_reports",
@@ -81,25 +82,6 @@ def standard_criteria() -> list[MatchCriterion]:
     ]
 
 
-def iou(a: tuple, b: tuple) -> float:
-    """Intersection over union of two (x1, y1, x2, y2) boxes.
-
-    Degenerate boxes (zero or negative area) have IoU 0 with everything.
-    """
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    if area_a <= 0 or area_b <= 0:
-        return 0.0
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (area_a + area_b - inter)
-
-
 @dataclass
 class EvalReport:
     """mAP per criterion plus the per-class AP tables behind them."""
@@ -121,30 +103,52 @@ class EvalReport:
         }
 
 
-def assign_matches(boxes: list, gt_boxes: list, iou_threshold: float) -> list:
-    """Greedy box assignment for one image and one noun class.
+def _match(row_key: np.ndarray, boxes: np.ndarray, gt_key: np.ndarray, gt_boxes: np.ndarray,
+           iou_threshold: float) -> np.ndarray:
+    """Greedy box assignment of every group at once: the ground truth index each row takes, or -1.
 
-    boxes, the (x1, y1, x2, y2) boxes of the detections, must already be in
-    descending score order.  Each detection takes the unassigned ground
-    truth box with the highest IoU at or above the threshold (ties toward
-    the earlier ground truth); returns one ground truth index or None per
-    detection.
+    Row i (box boxes[i]) may take the ground truth of its key, an (image,
+    class) group id; key -1 takes none.  A group's rows come in descending
+    score order and each takes the untaken box of its group with the
+    highest IoU at or above the threshold, the earlier box on ties; groups
+    share no ground truth, so step t lets the t-th row of every group
+    choose.  One elementwise pass over the padded groups keeps the per-pair
+    IoU formula operation for operation: a degenerate box or no overlap
+    never matches, and overflowing areas go to inf and nan silently, as
+    Python floats do.
     """
-    taken = [False] * len(gt_boxes)
-    assigned = []
-    for box in boxes:
-        best_j = None
-        best_iou = 0.0
-        for j, gt_box in enumerate(gt_boxes):
-            if taken[j]:
-                continue
-            overlap = iou(box, gt_box)
-            if overlap >= iou_threshold and (best_j is None or overlap > best_iou):
-                best_j, best_iou = j, overlap
-        if best_j is not None:
-            taken[best_j] = True
-        assigned.append(best_j)
-    return assigned
+    by_key = np.argsort(gt_key, kind="stable")  # ground truth grouped by key, input order within each
+    sorted_key = gt_key[by_key]
+    start = np.searchsorted(sorted_key, row_key, "left")
+    size = np.searchsorted(sorted_key, row_key, "right") - start
+    rows = np.flatnonzero(size)  # the rows whose group holds ground truth
+    start, size = start[rows], size[rows]
+    slot = np.arange(size.max(initial=0))
+    valid = slot < size[:, None]
+    cand = np.where(valid, start[:, None] + slot, 0)  # sorted positions of each row's ground truth, padded
+    a, b = boxes[rows][:, None, :], gt_boxes[by_key[cand]]
+    with np.errstate(all="ignore"):
+        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        inter = iw * ih
+        overlap = inter / (area_a + area_b - inter)
+    eligible = valid & ~((area_a <= 0) | (area_b <= 0) | (iw <= 0) | (ih <= 0)) & (overlap >= iou_threshold)
+    by_group = np.argsort(start, kind="stable")  # rows of one group share start, and keep their order
+    grouped = start[by_group]
+    rank = np.arange(len(rows)) - np.searchsorted(grouped, grouped)  # of the rows by_group lists
+    taken = np.zeros(len(gt_key), dtype=bool)  # by sorted position
+    match = np.full(len(row_key), -1, dtype=np.intp)
+    for step in range(rank.max(initial=-1) + 1):
+        at = by_group[rank == step]
+        free = eligible[at] & ~taken[cand[at]]
+        pick = np.argmax(np.where(free, overlap[at], -np.inf), axis=1)  # the first of equal maxima
+        hit = free[np.arange(len(at)), pick]
+        chosen = cand[at[hit], pick[hit]]
+        taken[chosen] = True
+        match[rows[at[hit]]] = by_key[chosen]
+    return match
 
 
 def _average_precisions(classes: np.ndarray, flags: np.ndarray, npos: list) -> np.ndarray:
@@ -213,11 +217,9 @@ def evaluate(dets, gts: list, criteria: list | None = None, *, top_k: int = 5,
 
     dets = Detections.of(dets)
     image_of: dict = {}  # image uid -> its position
-    gts_by_key: dict = {}  # (image uid, class) -> its ground truths, in input order
     npos: dict = {}
     for gt in gts:
         image_of.setdefault(gt.uid, len(image_of))
-        gts_by_key.setdefault((gt.uid, gt.noun), []).append(gt)
         npos[gt.noun] = npos.get(gt.noun, 0) + 1
     try:
         image = np.fromiter(map(image_of.__getitem__, dets.uids), np.intp, len(dets))
@@ -234,26 +236,17 @@ def evaluate(dets, gts: list, criteria: list | None = None, *, top_k: int = 5,
     kept = ranked[place < top_k]
 
     # one row per kept detection: its class (-1 if absent from the ground truth) and a flag per criterion
-    uids, nouns, verbs = dets.uids, dets.nouns, dets.verbs
+    nouns, verbs = dets.nouns, dets.verbs
     row_class = np.fromiter([position.get(nouns[idx], -1) for idx in kept.tolist()], np.intp, len(kept))
-    # the rows with a same-class ground truth in their image, grouped by both, in descending score order
-    groups: dict = {}
-    for row, idx in enumerate(kept.tolist()):
-        key = (uids[idx], nouns[idx])
-        if key in gts_by_key:
-            groups.setdefault(key, []).append(row)
-    boxes = dets.boxes[kept].tolist()
-    matched, matched_gts = [], []  # kept rows assigned a ground truth, and that ground truth
-    for key, members in groups.items():
-        gts_cls = gts_by_key[key]
-        for row, j in zip(members, assign_matches([boxes[row] for row in members], [g.box for g in gts_cls],
-                                                  iou_threshold)):
-            if j is not None:
-                matched.append(row)
-                matched_gts.append(gts_cls[j])
-    at = kept[matched]
-    verb_ok = np.array([verbs[i] == g.verb for i, g in zip(at.tolist(), matched_gts)], dtype=bool)
-    ttc_ok = np.abs(dets.ttc[at] - np.array([g.ttc for g in matched_gts], dtype=np.float64)) <= ttc_tolerance
+    # boxes match within an (image, class) group, in descending score order
+    gt_key = np.fromiter([image_of[g.uid] * len(classes) + position[g.noun] for g in gts], np.intp, len(gts))
+    row_key = np.where(row_class >= 0, image[kept] * len(classes) + row_class, -1)
+    match = _match(row_key, dets.boxes[kept], gt_key, np.array([g.box for g in gts], dtype=np.float64),
+                   iou_threshold)
+    matched = np.flatnonzero(match >= 0)  # kept rows assigned a ground truth
+    at, pair = kept[matched], match[matched].tolist()
+    verb_ok = np.array([verbs[i] == gts[j].verb for i, j in zip(at.tolist(), pair)], dtype=bool)
+    ttc_ok = np.abs(dets.ttc[at] - np.array([gts[j].ttc for j in pair], dtype=np.float64)) <= ttc_tolerance
     flags = np.zeros((len(kept), len(criteria)), dtype=bool)
     for c, crit in enumerate(criteria):
         flags[matched, c] = crit.holds(verb_ok, ttc_ok)

@@ -215,6 +215,8 @@ def loop_grad_check(params, loss, grads, epsilon):
     """
     worst, max_rel, checked = "", 0.0, 0
     for name, arr in params.items():
+        if not arr.size:
+            continue
         numeric = []
         for i in range(arr.size):
             orig = arr.flat[i]

@@ -131,6 +131,28 @@ def test_token_bundle_validates_shapes():
                     positional=np.zeros((2, 3)))  # needs 3 rows with the class token
 
 
+@pytest.mark.parametrize("field", ["tokens", "class_token", "positional"])
+def test_token_bundle_stores_a_list_as_a_float64_array(field):
+    fields = {"tokens": [[1.0, 2.0]], "class_token": [3, 4], "positional": [[0.5, 0.5], [0.25, 0.0]]}
+    given = {"tokens": np.array([[1.0, 2.0]]), field: fields[field]}
+    if field == "positional":
+        given["class_token"] = np.array([3.0, 4.0])
+    bundle = TokenBundle(**given)
+    assert isinstance(getattr(bundle, field), np.ndarray) and getattr(bundle, field).dtype == np.float64
+    assert getattr(bundle, field).tolist() == fields[field]
+    # a float64 array is kept as it is
+    assert all(getattr(bundle, name) is value for name, value in given.items() if name != field)
+
+
+def test_token_bundle_keeps_its_shape_messages_for_lists():
+    with pytest.raises(ValueError, match=r"tokens must be 2-D, got shape \(3,\)"):
+        TokenBundle(tokens=[0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"class token has shape \(2,\), expected \(3,\)"):
+        TokenBundle(tokens=[[0.0, 0.0, 0.0]], class_token=[0.0, 0.0])
+    with pytest.raises(ValueError, match=r"positional embeddings have shape \(1, 3\), expected \(2, 3\)"):
+        TokenBundle(tokens=[[0.0, 0.0, 0.0]], class_token=[0.0, 0.0, 0.0], positional=[[0.0, 0.0, 0.0]])
+
+
 def test_mlp_weights_validate_shapes():
     with pytest.raises(ValueError, match="mlp shapes"):
         MlpWeights(np.zeros((2, 4)), np.zeros(4), np.zeros((4, 3)), np.zeros(3))
@@ -732,6 +754,23 @@ def criterion_instance(op, seed, heads=2):
 def test_grad_check_report_equals_per_scalar_loop(op, seed, heads):
     inputs, weights = criterion_instance(op, seed, heads)
     report = att.grad_check(op, inputs, weights, epsilon=1e-5).to_json()
+    assert report == loop_report(op, inputs, weights)
+
+
+def zero_size_instances():
+    inputs, weights = att.random_instance("dual_attention", 0, mlp_hidden=0)
+    yield "dual_attention", inputs, weights
+    stack = np.zeros((1, 0, 2))
+    yield ("mha", (TokenBundle(tokens=np.zeros((2, 0))), TokenBundle(tokens=np.zeros((3, 0)))),
+           AttentionWeights(w_q=stack, w_k=stack, w_v=stack, w_o=np.zeros((2, 0))))
+
+
+@pytest.mark.parametrize("op, inputs, weights", list(zero_size_instances()), ids=["dual_mlp_hidden_0", "mha_d_model_0"])
+def test_grad_check_skips_tensors_without_scalars(op, inputs, weights):
+    report = att.grad_check(op, inputs, weights).to_json()
+    sizes = [arr.size for arr, _ in checked_tensors(op, inputs, weights).values()]
+    assert 0 in sizes
+    assert report["params_checked"] == sum(sizes)
     assert report == loop_report(op, inputs, weights)
 
 

@@ -541,6 +541,10 @@ DEMO_SEED_7_COMMANDS = [
      "1bd81d7ffabecde253ae5dfdb47801340ac8a75b5aad6dc1faf87e27df0657cf"),
     (["eval", "sta", "--dets", "{d}/detections.jsonl", "--gt", "{d}/gt.jsonl"], "stdout",
      "c41dbcff3507d1b2d02727b510205747a63bcd3fe7a54f8312a25ed369f5c108"),
+    (["eval", "sta", "--dets", "{d}/refined.jsonl", "--gt", "{d}/gt.jsonl", "--iou", "0.3", "--ttc-tol", "0.1",
+      "--topk", "1"], "stdout", "987d554e431323b0fe489563386328df7fe8f2434e8e02546dae0063866cf9b0"),
+    (["eval", "sta", "--dets", "{d}/detections.jsonl", "--gt", "{d}/gt.jsonl", "--iou", "0.1", "--topk", "3"],
+     "stdout", "51b051a0ee0ce34a83699a0bbb65b16ecb197608144c44d202465f1896796dd5"),
     (["hotspot", "reweight", "--dets", "{d}/detections.jsonl", "--maps", "{d}/maps.jsonl", "--out", "{out}"],
      "out", "18a719c2f3f4eda2cca7391fc39132db192a7db2f7c455fe213e3d4ce0796851"),
     (["hotspot", "reweight", "--bilinear", "--dets", "{d}/detections.jsonl", "--maps", "{d}/maps.jsonl",

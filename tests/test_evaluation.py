@@ -11,7 +11,7 @@ from stakit import evaluation as ev
 from stakit.evaluation import GroundTruth, MatchCriterion
 from stakit.hotspot import Detection, Detections
 
-from helpers import accepts, loop_evaluate
+from helpers import accepts, loop_evaluate, loop_iou
 
 NAMES = ("noun", "noun_verb", "noun_ttc", "overall")
 
@@ -62,34 +62,45 @@ def random_instance(rng, n_images=3, max_gt=3, max_dets=5, quantize=False):
 
 
 # ---------------------------------------------------------------------------
-# iou
+# box overlap, seen through evaluate
 
 
-def test_iou_identical_boxes():
-    assert ev.iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
+def noun_map(det_box, gt_box, iou_threshold):
+    """The noun mAP of one detection against one same-class ground truth: 1.0 if they match, else 0.0."""
+    report = ev.evaluate([det("u", det_box, 0, "take", 1.0, 0.9)], [gt("u", gt_box, 0, "take", 1.0)],
+                         iou_threshold=iou_threshold)
+    return report.maps["noun"]
 
 
-def test_iou_disjoint_boxes():
-    assert ev.iou((0, 0, 1, 1), (5, 5, 6, 6)) == 0.0
+def test_identical_boxes_match_at_threshold_one():
+    assert noun_map((0, 0, 10, 10), (0, 0, 10, 10), 1.0) == 1.0
 
 
-def test_iou_half_overlap_hand_value():
-    assert abs(ev.iou((0, 0, 10, 10), (5, 0, 15, 10)) - 1.0 / 3.0) < 1e-15
+def test_disjoint_boxes_never_match():
+    # apart on both axes, the negative width times the negative height is a positive product
+    assert noun_map((0, 0, 10, 10), (11, 11, 12, 12), np.nextafter(0.0, 1.0)) == 0.0
 
 
-def test_iou_degenerate_box_is_zero():
-    assert ev.iou((0, 0, 0, 10), (0, 0, 10, 10)) == 0.0
-    assert ev.iou((0, 0, 10, 10), (3, 3, 3, 3)) == 0.0
+def test_half_overlap_matches_at_one_third_exactly():
+    assert noun_map((0, 0, 10, 10), (5, 0, 15, 10), 1.0 / 3.0) == 1.0
+    assert noun_map((0, 0, 10, 10), (5, 0, 15, 10), np.nextafter(1.0 / 3.0, 1.0)) == 0.0
 
 
-def test_iou_symmetry():
+def test_overlap_is_symmetric_and_the_threshold_is_inclusive():
     rng = np.random.default_rng(80)
     for _ in range(20):
-        a = tuple(np.sort(rng.uniform(0, 10, 2))) + tuple(np.sort(rng.uniform(0, 10, 2)))
-        a = (a[0], a[2], a[1], a[3])
-        b = tuple(np.sort(rng.uniform(0, 10, 2))) + tuple(np.sort(rng.uniform(0, 10, 2)))
-        b = (b[0], b[2], b[1], b[3])
-        assert ev.iou(a, b) == ev.iou(b, a)
+        x1, x2 = np.sort(rng.uniform(0, 10, 2))
+        y1, y2 = np.sort(rng.uniform(0, 10, 2))
+        a = (x1, y1, x2, y2)
+        x1, x2 = np.sort(rng.uniform(0, 10, 2))
+        y1, y2 = np.sort(rng.uniform(0, 10, 2))
+        b = (x1, y1, x2, y2)
+        overlap = loop_iou(a, b)
+        if overlap == 0.0:
+            assert noun_map(a, b, np.nextafter(0.0, 1.0)) == noun_map(b, a, np.nextafter(0.0, 1.0)) == 0.0
+            continue
+        assert noun_map(a, b, overlap) == noun_map(b, a, overlap) == 1.0
+        assert noun_map(a, b, np.nextafter(overlap, 1.0)) == noun_map(b, a, np.nextafter(overlap, 1.0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -261,32 +272,34 @@ def test_ground_truth_row_is_frozen_and_holds_its_own_corners(field):
 
 
 # ---------------------------------------------------------------------------
-# greedy assignment
+# greedy assignment; the verb shows which ground truth a detection took
 
 
-def test_assign_matches_ties_toward_earlier_gt():
-    gts = [gt("u", (0, 0, 10, 10), 0, "take", 1.0), gt("u", (0, 0, 10, 10), 0, "take", 1.0)]
-    d = det("u", (0, 0, 10, 10), 0, "take", 1.0, 0.9)
-    assert ev.assign_matches([d.box], [g.box for g in gts], 0.5) == [0]
+def test_tie_in_iou_goes_to_the_earlier_ground_truth():
+    gts = [gt("u", (0, 0, 10, 10), 0, "take", 1.0), gt("u", (0, 0, 10, 10), 0, "cut", 1.0)]
+    maps = ev.evaluate([det("u", (0, 0, 10, 10), 0, "take", 1.0, 0.9)], gts).maps
+    assert (maps["noun"], maps["noun_verb"]) == (0.5, 0.5)
 
 
-def test_assign_matches_prefers_higher_iou():
-    gts = [gt("u", (0, 0, 10, 10), 0, "take", 1.0), gt("u", (2, 0, 12, 10), 0, "take", 1.0)]
-    d = det("u", (2, 0, 12, 10), 0, "take", 1.0, 0.9)
-    assert ev.assign_matches([d.box], [g.box for g in gts], 0.5) == [1]
+def test_higher_iou_wins_over_the_earlier_ground_truth():
+    gts = [gt("u", (0, 0, 10, 10), 0, "cut", 1.0), gt("u", (2, 0, 12, 10), 0, "take", 1.0)]
+    maps = ev.evaluate([det("u", (2, 0, 12, 10), 0, "take", 1.0, 0.9)], gts).maps
+    assert (maps["noun"], maps["noun_verb"]) == (0.5, 0.5)
 
 
-def test_assign_matches_consumes_ground_truth_in_score_order():
+def test_ground_truth_is_used_up_in_score_order():
     g0 = gt("u", (0, 0, 10, 10), 0, "take", 1.0)
-    best = det("u", (0, 0, 10, 10), 0, "take", 1.0, 0.9)
-    second = det("u", (1, 0, 11, 10), 0, "take", 1.0, 0.5)
-    assert ev.assign_matches([best.box, second.box], [g0.box], 0.5) == [0, None]
+    second = det("u", (0, 0, 10, 10), 0, "cut", 1.0, 0.5)  # listed first, but scored lower
+    best = det("u", (1, 0, 11, 10), 0, "take", 1.0, 0.9)
+    maps = ev.evaluate([second, best], [g0]).maps
+    assert (maps["noun"], maps["noun_verb"]) == (1.0, 1.0)
 
 
-def test_assign_matches_respects_threshold():
+def test_no_match_below_the_threshold():
     g0 = gt("u", (0, 0, 10, 10), 0, "take", 1.0)
     weak = det("u", (8, 8, 18, 18), 0, "take", 1.0, 0.9)
-    assert ev.assign_matches([weak.box], [g0.box], 0.5) == [None]
+    assert ev.evaluate([weak], [g0], iou_threshold=0.5).maps["noun"] == 0.0
+    assert ev.evaluate([weak], [g0], iou_threshold=4.0 / 196.0).maps["noun"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +336,9 @@ def edge_case_instance(rng, n_images, quantize):
     ground truth but no detection, class "missed" has detections that never
     overlap its ground truth (all false positives), and class "ghost" is
     predicted but absent from the ground truth.  Quantized scores tie often.
+    Some ground truth is duplicated under the other verb, so IoUs tie, and
+    some images hold a box with corners near 1e200 and a detection on it,
+    whose areas overflow to inf.
     """
     labels = [0, 1, "1", "cup"]
     score = (lambda: float(rng.integers(1, 5)) / 4.0) if quantize else (lambda: float(rng.uniform(0.05, 1.0)))
@@ -336,6 +352,14 @@ def edge_case_instance(rng, n_images, quantize):
             image_gts.append(gt(uid, (x, y, x + rng.uniform(2, 8), y + rng.uniform(2, 8)),
                                 labels[int(rng.integers(len(labels)))], str(rng.choice(["take", "cut"])),
                                 float(rng.uniform(0.3, 2.0))))
+        if rng.random() < 0.5:
+            g = image_gts[int(rng.integers(2, len(image_gts)))]
+            image_gts.append(gt(uid, g.box, g.noun, "cut" if g.verb == "take" else "take", g.ttc))
+        if rng.random() < 0.3:
+            s = float(rng.uniform(1e200, 2e200))
+            noun = labels[int(rng.integers(len(labels)))]
+            image_gts.append(gt(uid, (-s, -s, s, s), noun, "take", 1.0))
+            dets.append(det(uid, (-0.5 * s, -s, s, 0.5 * s), noun, "take", 1.0, score()))
         gts += image_gts
         for _ in range(int(rng.integers(0, 8))):
             roll = rng.random()
@@ -361,7 +385,8 @@ def bits(table):
 
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), n_images=st.integers(1, 5), quantize=st.booleans(),
-       top_k=st.sampled_from([1, 5]), thresholds=st.sampled_from([(0.5, 0.25), (0.3, 0.1)]),
+       top_k=st.sampled_from([1, 3, 5, 100]),
+       thresholds=st.sampled_from([(0.5, 0.25), (0.3, 0.1), (0.1, 0.25), (0.9, 0.25)]),
        as_table=st.booleans())
 def test_evaluate_equals_the_per_class_loop_oracle_bit_for_bit(seed, n_images, quantize, top_k, thresholds,
                                                                as_table):
