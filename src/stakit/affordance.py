@@ -92,7 +92,7 @@ class ZoneIndex(Sequence):
     """
 
     def __init__(self, zones: Iterable[Zone]):
-        """Index copies of zones; the zones given keep their own descriptors."""
+        """Index copies of zones, whose ids must be unique; the zones given keep their own descriptors."""
         zones = [replace(z) for z in zones]
         d = len(zones[0].visual) if zones else 0
         visual, text = np.zeros((len(zones), d)), np.zeros((len(zones), d))
@@ -105,18 +105,11 @@ class ZoneIndex(Sequence):
                     raise ValueError(f"zone {zone.zone_id!r}: descriptor length mismatch: "
                                      f"{desc.shape} vs {(d,)}")
                 rows[i] = desc
-        self._adopt(zones, visual, text)
-
-    @classmethod
-    def from_rows(cls, zones: list[Zone], visual: np.ndarray, text: np.ndarray) -> "ZoneIndex":
-        """Index zones whose descriptors were written into the rows of visual and text."""
-        index = cls.__new__(cls)
-        index._adopt(zones, visual, text)
-        return index
-
-    def _adopt(self, zones: list[Zone], visual: np.ndarray, text: np.ndarray) -> None:
         visual.flags.writeable = text.flags.writeable = False
+        self.by_id: dict[str, Zone] = {}
         for i, zone in enumerate(zones):  # views taken after the freeze are read-only too
+            if self.by_id.setdefault(zone.zone_id, zone) is not zone:
+                raise ValueError(f"duplicate zone id {zone.zone_id!r}")
             zone.visual = visual[i]
             if zone.text is not None:
                 zone.text = text[i]
@@ -124,7 +117,6 @@ class ZoneIndex(Sequence):
         self.visual, self.text = visual, text
         self.visual_norms = np.sqrt(np.einsum("ij,ij->i", visual, visual))
         self.text_norms = np.sqrt(np.einsum("ij,ij->i", text, text))
-        self.by_id = {z.zone_id: z for z in self._zones}
 
     def __len__(self) -> int:
         return len(self._zones)
@@ -169,13 +161,12 @@ class KnnResult:
 class CategoricalDistribution:
     """Probability vector over an implicit vocabulary order."""
 
-    size: int
     p: np.ndarray
 
     def __post_init__(self) -> None:
         self.p = np.asarray(self.p, dtype=np.float64)
-        if self.p.shape != (self.size,) or self.size == 0:
-            raise ValueError(f"expected {self.size} probabilities, got shape {self.p.shape}")
+        if self.p.ndim != 1 or self.p.size == 0:
+            raise ValueError(f"probabilities must be a nonempty vector, got shape {self.p.shape}")
         if not np.all(np.isfinite(self.p)):
             raise ValueError("probabilities must be finite")
         if np.any(self.p < 0):
@@ -183,6 +174,10 @@ class CategoricalDistribution:
         total = float(self.p.sum())
         if abs(total - 1.0) > _SUM_TOLERANCE:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
+
+    @property
+    def size(self) -> int:
+        return len(self.p)
 
     @classmethod
     def from_scores(cls, scores) -> "CategoricalDistribution":
@@ -197,13 +192,13 @@ class CategoricalDistribution:
         total = float(s.sum())
         if total <= 0:
             raise ValueError("scores sum to zero, cannot normalise")
-        return cls(size=s.size, p=s / total)
+        return cls(s / total)
 
     @classmethod
     def uniform(cls, size: int) -> "CategoricalDistribution":
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        return cls(size=size, p=np.full(size, 1.0 / size))
+        return cls(np.full(size, 1.0 / size))
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -406,12 +401,8 @@ def knn_query(query: np.ndarray, index: ZoneIndex, k: int = DEFAULT_K) -> KnnRes
         screened = np.divide(rows @ query, denominators, out=np.zeros(len(index)),
                              where=denominators != 0.0)
         floor = np.partition(screened, len(index) - k)[len(index) - k] - _SCREEN_MARGIN
-        scored = []
-        for idx in np.flatnonzero(~(screened < floor)).tolist():  # NaN scores are rescored too
-            desc = getattr(index[idx], channel)
-            sim = cosine_similarity(query, desc) if desc is not None else 0.0
-            scored.append((-sim, idx))
-        scored.sort()
+        rescored = np.flatnonzero(~(screened < floor)).tolist()  # NaN scores are rescored too
+        scored = sorted((-cosine_similarity(query, rows[idx]), idx) for idx in rescored)
         for neg_sim, idx in scored[:k]:
             entries.append(KnnEntry(zone_id=index[idx].zone_id, similarity=-neg_sim, channel=channel))
     return KnnResult(k=k, entries=entries)
@@ -443,7 +434,7 @@ def affordance_distribution(knn: KnnResult, zones: ZoneIndex, vocabulary: list,
             if i is not None:
                 exponents[i] += vote
     scores = np.exp(exponents)
-    return CategoricalDistribution(size=len(vocabulary), p=scores / scores.sum())
+    return CategoricalDistribution(scores / scores.sum())
 
 
 def fuse_distributions(prior: CategoricalDistribution,
@@ -460,7 +451,7 @@ def fuse_distributions(prior: CategoricalDistribution,
     total = float(product.sum())
     if total <= 0.0:
         raise ValueError("distributions have disjoint supports, fused mass is zero")
-    return CategoricalDistribution(size=prior.size, p=product / total)
+    return CategoricalDistribution(product / total)
 
 
 def _fused_rows(prior: CategoricalDistribution, vectors: Sequence) -> np.ndarray | None:

@@ -262,6 +262,9 @@ def _load_distribution(path: str, kind: str | None):
 def _cmd_afford_fuse(cfg: RunConfig) -> int:
     prior, vocab = _load_distribution(cfg.aff, cfg.kind)
     predicted, vocab_sta = _load_distribution(cfg.sta, cfg.kind)
+    if vocab and vocab_sta and vocab != vocab_sta:  # fusion multiplies by position, so labels must line up
+        raise formats.InputError(f"vocabulary {vocab_sta!r} differs from the --aff file's {vocab!r}",
+                                 path=cfg.sta, field="vocab")
     fused = fuse_distributions(prior, predicted)
     result = formats.distribution_to_json(fused, vocab or vocab_sta)
     if cfg.out:

@@ -268,8 +268,11 @@ def distribution_to_json(dist: CategoricalDistribution, vocab: list | None = Non
 
 
 def _distribution(obj) -> CategoricalDistribution:
-    size = _convert(obj, "size", _int, default=len(_convert(obj, "p", _list)))
-    return _convert(obj, "p", lambda p: CategoricalDistribution(size, _vector(p)))
+    p = _convert(obj, "p", _vector)
+    size = _convert(obj, "size", _int, default=len(p))
+    if len(p) != size:
+        raise InputError(f"expected {size} probabilities, got shape {p.shape}", field="p")
+    return _at(CategoricalDistribution, p, field="p")
 
 
 def distribution_from_json(obj: dict, *, path=None) -> CategoricalDistribution:
@@ -407,26 +410,21 @@ def _zone(z, length: int | None) -> Zone:
 
 def _zone_db(obj) -> tuple[ZoneIndex, list, list, dict]:
     entries = _convert(obj, "zones", _list, default=[])
-    zones, visual, text = [], np.zeros((0, 0)), np.zeros((0, 0))
+    zones, ids = [], set()
     for i, z in enumerate(entries):
-        zone = _at(_zone, z, visual.shape[1] if zones else None, field=f"zones[{i}]")
-        if not zones:  # zone 0's visual sets the width of both matrices
-            shape = (len(entries), len(zone.visual))
-            visual, text = np.zeros(shape), np.zeros(shape)
-        # each descriptor moves into its row at once, so the parsed vector is not held beside it
-        visual[i] = zone.visual
-        zone.visual = visual[i]
-        if zone.text is not None:
-            text[i] = zone.text
-            zone.text = text[i]
+        zone = _at(_zone, z, len(zones[0].visual) if zones else None, field=f"zones[{i}]")
+        if zone.zone_id in ids:
+            raise InputError(f"duplicate zone id {zone.zone_id!r}", field=f"zones[{i}].id")
+        ids.add(zone.zone_id)
         zones.append(zone)
-    return (ZoneIndex.from_rows(zones, visual, text), _convert(obj, "noun_vocab", _labels, default=[]),
+        entries[i] = None  # the decoded entry goes, so its lists are not held beside the zone's vectors
+    return (ZoneIndex(zones), _convert(obj, "noun_vocab", _labels, default=[]),
             _convert(obj, "verb_vocab", _labels, default=[]),
             dict(_convert(obj, "params", _object, default={})))
 
 
 def read_zone_db(path) -> tuple[ZoneIndex, list, list, dict]:
-    """The zones as a ZoneIndex, their descriptors parsed into its rows; the vocabularies; params."""
+    """The zones as a ZoneIndex; the vocabularies; params.  Zone ids must be unique."""
     return _at(_zone_db, read_json(path), path=str(path))
 
 

@@ -176,8 +176,8 @@ def test_criterion_04_fusion_properties():
                                predicted)
         assert np.max(np.abs(a.p - b.p)) <= 1e-12
 
-    prior = CategoricalDistribution(3, np.array([0.5, 0.3, 0.2]))
-    predicted = CategoricalDistribution(3, np.array([0.2, 0.5, 0.3]))
+    prior = CategoricalDistribution(np.array([0.5, 0.3, 0.2]))
+    predicted = CategoricalDistribution(np.array([0.2, 0.5, 0.3]))
     fused = fuse_distributions(prior, predicted)
     for got, want in zip(fused.p, (0.3226, 0.4839, 0.1935)):
         assert abs(got - want) < 1e-4

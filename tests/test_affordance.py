@@ -527,6 +527,11 @@ def test_zone_index_rejects_descriptors_of_different_lengths():
         aff.ZoneIndex([zone("z0", [1.0, 0.0], text=[1.0])])
 
 
+def test_zone_index_rejects_duplicate_zone_ids():
+    with pytest.raises(ValueError, match="duplicate zone id 'z'"):
+        aff.ZoneIndex([zone("z", [1.0, 0.0]), zone("y", [0.5, 0.5]), zone("z", [0.0, 1.0])])
+
+
 def test_knn_result_validation():
     with pytest.raises(ValueError, match="expected 2"):
         KnnResult(k=1, entries=[KnnEntry("z", 0.5, "visual")])
@@ -645,8 +650,8 @@ def test_affordance_distribution_validates_inputs():
 
 
 def test_fuse_distributions_worked_example():
-    prior = CategoricalDistribution(3, np.array([0.5, 0.3, 0.2]))
-    predicted = CategoricalDistribution(3, np.array([0.2, 0.5, 0.3]))
+    prior = CategoricalDistribution(np.array([0.5, 0.3, 0.2]))
+    predicted = CategoricalDistribution(np.array([0.2, 0.5, 0.3]))
     fused = aff.fuse_distributions(prior, predicted)
     exact = np.array([0.10, 0.15, 0.06]) / 0.31
     assert np.allclose(fused.p, exact, atol=1e-12, rtol=0)
@@ -654,14 +659,14 @@ def test_fuse_distributions_worked_example():
 
 
 def test_fuse_distributions_uniform_prior_identity():
-    predicted = CategoricalDistribution(4, np.array([0.1, 0.2, 0.3, 0.4]))
+    predicted = CategoricalDistribution(np.array([0.1, 0.2, 0.3, 0.4]))
     fused = aff.fuse_distributions(CategoricalDistribution.uniform(4), predicted)
     assert np.allclose(fused.p, predicted.p, atol=1e-12, rtol=0)
 
 
 def test_fuse_distributions_one_hot_prior():
-    prior = CategoricalDistribution(3, np.array([0.0, 1.0, 0.0]))
-    predicted = CategoricalDistribution(3, np.array([0.2, 0.5, 0.3]))
+    prior = CategoricalDistribution(np.array([0.0, 1.0, 0.0]))
+    predicted = CategoricalDistribution(np.array([0.2, 0.5, 0.3]))
     fused = aff.fuse_distributions(prior, predicted)
     assert np.array_equal(fused.p, np.array([0.0, 1.0, 0.0]))
 
@@ -670,7 +675,7 @@ def test_fuse_distributions_rescaling_invariance():
     scores = np.array([2.0, 1.0, 4.0])
     prior = CategoricalDistribution.from_scores(scores)
     prior_scaled = CategoricalDistribution.from_scores(scores * 37.5)
-    predicted = CategoricalDistribution(3, np.array([0.2, 0.5, 0.3]))
+    predicted = CategoricalDistribution(np.array([0.2, 0.5, 0.3]))
     a = aff.fuse_distributions(prior, predicted)
     b = aff.fuse_distributions(prior_scaled, predicted)
     assert np.allclose(a.p, b.p, atol=1e-12, rtol=0)
@@ -680,19 +685,20 @@ def test_fuse_distributions_errors():
     with pytest.raises(ValueError, match="size mismatch"):
         aff.fuse_distributions(CategoricalDistribution.uniform(2),
                                CategoricalDistribution.uniform(3))
-    a = CategoricalDistribution(2, np.array([1.0, 0.0]))
-    b = CategoricalDistribution(2, np.array([0.0, 1.0]))
+    a = CategoricalDistribution(np.array([1.0, 0.0]))
+    b = CategoricalDistribution(np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="disjoint"):
         aff.fuse_distributions(a, b)
 
 
 def test_categorical_distribution_validation():
     with pytest.raises(ValueError, match="sum to 1"):
-        CategoricalDistribution(2, np.array([0.5, 0.6]))
+        CategoricalDistribution(np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="nonnegative"):
-        CategoricalDistribution(2, np.array([1.5, -0.5]))
-    with pytest.raises(ValueError, match="expected 3"):
-        CategoricalDistribution(3, np.array([0.5, 0.5]))
+        CategoricalDistribution(np.array([1.5, -0.5]))
+    for shape in [(0,), (1, 2), ()]:
+        with pytest.raises(ValueError, match="nonempty vector"):
+            CategoricalDistribution(np.full(shape, 0.5))
     with pytest.raises(ValueError, match="zero"):
         CategoricalDistribution.from_scores(np.zeros(3))
 
@@ -700,7 +706,7 @@ def test_categorical_distribution_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_categorical_distribution_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
-        CategoricalDistribution(2, [bad, 0.5])
+        CategoricalDistribution([bad, 0.5])
     with pytest.raises(ValueError, match="finite"):
         CategoricalDistribution.from_scores([bad, 1.0])
 
@@ -736,7 +742,7 @@ def test_apply_affordance_uniform_priors_leave_detections_alone():
 
 def test_apply_affordance_relabels_by_fused_argmax():
     det = make_det(0, 0, [0.55, 0.45], [1.0, 0.0])
-    prior = CategoricalDistribution(2, np.array([0.1, 0.9]))
+    prior = CategoricalDistribution(np.array([0.1, 0.9]))
     out = aff.apply_affordance_to_detections([det], prior, CategoricalDistribution.uniform(2))
     assert out[0].noun == 1  # 0.45 * 0.9 beats 0.55 * 0.1
     assert out[0].verb == 0
@@ -814,8 +820,8 @@ def _fault_error(call):
 @pytest.mark.parametrize("fault", sorted(FUSION_FAULTS))
 @pytest.mark.parametrize("channel", ["noun", "verb"])
 def test_apply_affordance_raises_the_loop_error_of_one_fault_at_any_position(fault, channel):
-    prior_nouns = CategoricalDistribution(4, np.array([0.4, 0.3, 0.3, 0.0]))
-    prior_verbs = CategoricalDistribution(3, np.array([0.5, 0.5, 0.0]))
+    prior_nouns = CategoricalDistribution(np.array([0.4, 0.3, 0.3, 0.0]))
+    prior_verbs = CategoricalDistribution(np.array([0.5, 0.5, 0.0]))
     for position in range(8):
         rng = np.random.default_rng(position)
         dets = _random_dets(rng, 8, 4, 3)

@@ -143,6 +143,7 @@ ZONE = {"id": "a:0", "clips": ["c0"], "nouns": ["cup"], "verbs": ["take"], "visu
     ({"zones": [{**ZONE, "visual": [1e200, 1.0]}]}, {"visual": [1e200, 0.0]}, "zones", "zones[0].visual"),
     ({"zones": [{**ZONE, "text": [1e200, 0.0]}]}, {"visual": [1.0, 0.0]}, "zones", "zones[0].text"),
     ({"zones": [ZONE]}, {"visual": [1e200, 0.0]}, "desc", "visual"),
+    ({"zones": [ZONE, {**ZONE, "visual": [0.0, 1.0]}]}, {"visual": [1.0, 0.0]}, "zones", "zones[1].id"),
 ])
 def test_afford_query_bad_input_exits_two_naming_file_and_field(tmp_path, capsys, zones_doc,
                                                                 desc_doc, bad_file, field):
@@ -234,6 +235,23 @@ def test_afford_fuse_kind_selects_from_query_output(tmp_path, capsys):
     record = json.loads(err)["error"]
     assert record["field"] == "kind"
     assert "--kind" in record["message"]
+
+
+def test_afford_fuse_rejects_a_vocabulary_in_another_order(tmp_path, capsys):
+    aff, sta = tmp_path / "aff.json", tmp_path / "sta.json"
+    aff.write_text(json.dumps({"size": 2, "p": [0.9, 0.1], "vocab": ["a", "b"]}))
+    sta.write_text(json.dumps({"size": 2, "p": [0.9, 0.1], "vocab": ["b", "a"]}))
+    code, out, err = run_cli(["afford", "fuse", "--aff", str(aff), "--sta", str(sta)], capsys)
+    assert code == 2 and out == ""
+    record = json.loads(err)["error"]
+    assert (record["type"], record["file"], record["field"]) == ("InputError", str(sta), "vocab")
+
+    # the same vocabulary on both sides, or one on one side only, fuses
+    for sta_doc in ({"size": 2, "p": [0.9, 0.1], "vocab": ["a", "b"]}, {"size": 2, "p": [0.9, 0.1]}):
+        sta.write_text(json.dumps(sta_doc))
+        code, out, err = run_cli(["afford", "fuse", "--aff", str(aff), "--sta", str(sta)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["vocab"] == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +572,13 @@ DEMO_SEED_7_COMMANDS = [
     (["hotspot", "reweight", "--bilinear", "--upsample-h", "96", "--upsample-w", "128", "--dets",
       "{d}/detections.jsonl", "--maps", "{d}/maps.jsonl", "--out", "{out}"],
      "out", "5a0ad2c1221cf882e51a5de0e9447527444c7af1ea2346cde48ad55c183f46ca"),
+    (["zones", "build", "--clips", "{d}/clips.jsonl", "--out", "{out}"],
+     "out", "2bd19ccfbfb5ff7a4da6a74c96ff69619d76d0cf7e381c95d9ae85db073f104b"),
+    (["afford", "query", "--zones", "{d}/zones.json", "--desc", "{query}", "--out", "{out}"],
+     "out", "1fa518d9f233cb9195b84742951d9af545fa27d7c60a4e5f4e1e519d70b4116d"),
 ]
+# the {query} of DEMO_SEED_7_COMMANDS, the one CI writes beside the demo
+DEMO_QUERY = '{"visual": [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]}\n'
 
 
 def sha256(data) -> str:
@@ -568,9 +592,11 @@ def test_demo_synth_and_the_commands_on_its_files_write_the_pinned_bytes(tmp_pat
     assert code == 0, err
     got = {name: sha256((out_dir / name).read_bytes()) for name in demo_artifacts(out_dir)}
     assert {**got, "stdout": sha256(out)} == DEMO_SEED_7_SHA256
+    query = tmp_path / "query.json"
+    query.write_text(DEMO_QUERY)
     for argv, output, digest in DEMO_SEED_7_COMMANDS:
         target = tmp_path / "out.jsonl"
-        code, out, err = run_cli([a.format(d=out_dir, out=target) for a in argv], capsys)
+        code, out, err = run_cli([a.format(d=out_dir, out=target, query=query) for a in argv], capsys)
         assert code == 0, err
         assert sha256(out if output == "stdout" else target.read_bytes()) == digest, argv
 

@@ -102,11 +102,23 @@ def test_mlp_weights_round_trip():
 
 
 def test_distribution_round_trip_with_vocab():
-    dist = CategoricalDistribution(3, np.array([0.2, 0.5, 0.3]))
+    dist = CategoricalDistribution(np.array([0.2, 0.5, 0.3]))
     doc = json.loads(json.dumps(fm.distribution_to_json(dist, ["a", "b", "c"])))
-    assert doc["vocab"] == ["a", "b", "c"]
+    assert doc["size"] == dist.size == 3 and doc["vocab"] == ["a", "b", "c"]
     back = fm.distribution_from_json(doc)
     assert np.array_equal(back.p, dist.p)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"size": 3, "p": [0.5, 0.5]}, r"expected 3 probabilities, got shape \(2,\)"),
+    ({"size": 1, "p": [0.5, 0.5]}, r"expected 1 probabilities, got shape \(2,\)"),
+    ({"size": 0, "p": []}, "nonempty vector"),
+    ({"p": []}, "nonempty vector"),
+])
+def test_distribution_reader_checks_size_and_p_at_p(doc, match):
+    with pytest.raises(fm.InputError, match=match) as info:
+        fm.distribution_from_json(doc, path="dist.json")
+    assert (info.value.path, info.value.field) == ("dist.json", "p")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +241,7 @@ ZONE = {"id": "z0", "nouns": ["cup"], "verbs": [], "visual": [1.0, 0.0]}
     ({"zones": [{**ZONE, "text": [None, 0.0]}]}, "zones[0].text"),
     ({"zones": [{**ZONE, "visual": [1e200, 1.0]}]}, "zones[0].visual"),
     ({"zones": [{**ZONE, "text": [1e200, 0.0]}]}, "zones[0].text"),
+    ({"zones": [{**ZONE, "id": 1}, {**ZONE, "id": "1"}]}, "zones[1].id"),
 ])
 def test_zone_db_names_malformed_field(tmp_path, doc, field):
     path = tmp_path / "zones.json"
@@ -248,6 +261,17 @@ def test_zone_db_loads_into_read_only_index_rows(tmp_path):
     assert not index.visual.flags.writeable and not index.text.flags.writeable
     for rows, desc in ((index.visual, index[0].visual), (index.visual, index[1].visual), (index.text, index[1].text)):
         assert np.shares_memory(desc, rows) and not desc.flags.writeable
+
+
+def test_zone_db_rejects_a_duplicate_zone_id_at_its_second_zone(tmp_path):
+    path = tmp_path / "zones.json"
+    path.write_text(json.dumps({"zones": [
+        {"id": "z", "nouns": ["knife"], "verbs": ["cut"], "visual": [1.0, 0.0]},
+        {"id": "z", "nouns": ["cup"], "verbs": ["pour"], "visual": [0.0, 1.0]},
+    ]}))
+    with pytest.raises(fm.InputError, match="duplicate zone id 'z'") as info:
+        fm.read_zone_db(path)
+    assert (info.value.path, info.value.field) == (str(path), "zones[1].id")
 
 
 @pytest.mark.parametrize("doc", [{"zones": []}, {}])
